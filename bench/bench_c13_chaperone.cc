@@ -44,9 +44,9 @@ int Main() {
   }
   // Stage 2: what the regional cluster actually holds.
   for (int32_t p = 0; p < 4; ++p) {
-    Result<std::vector<stream::Message>> batch = regional.Fetch("trips", p, 0, 100'000);
-    for (const stream::Message& m : batch.value()) {
-      audit.Record("regional", "trips", m);
+    Result<stream::FetchedBatch> batch = regional.FetchViews("trips", p, 0, 100'000);
+    for (const stream::wire::MessageView& v : batch.value().messages) {
+      audit.Record("regional", "trips", v.ToMessage());
     }
   }
   // Stage 3: replication to the aggregate cluster, with ~0.5% duplicates
@@ -56,8 +56,9 @@ int Main() {
   replicator.RunUntilCaughtUp().ok();
   int64_t injected_dupes = 0;
   for (int32_t p = 0; p < 4; ++p) {
-    Result<std::vector<stream::Message>> batch = aggregate.Fetch("trips", p, 0, 100'000);
-    for (const stream::Message& m : batch.value()) {
+    Result<stream::FetchedBatch> batch = aggregate.FetchViews("trips", p, 0, 100'000);
+    for (const stream::wire::MessageView& v : batch.value().messages) {
+      const stream::Message m = v.ToMessage();
       audit.Record("aggregate", "trips", m);
       if (rng.Chance(0.005)) {
         ++injected_dupes;

@@ -20,7 +20,9 @@ struct OutageResult {
 
 OutageResult RunOutage(olap::ArchivalMode mode) {
   stream::Broker broker("c1");
+  common::FaultInjector faults;
   storage::InMemoryObjectStore store;
+  store.SetFaultInjector(&faults);
   stream::TopicConfig topic;
   topic.num_partitions = 4;
   broker.CreateTopic("trips", topic).ok();
@@ -40,7 +42,7 @@ OutageResult RunOutage(olap::ArchivalMode mode) {
   cluster.DrainArchivalQueue("trips_t").ok();
 
   // Outage: the archival store goes down while data keeps arriving.
-  store.SetAvailable(false);
+  faults.SetDown("store", true);
   generator.Produce(&broker, "trips", 10'000).ok();
   int64_t before = cluster.NumRows("trips_t").value();
   for (int i = 0; i < 40; ++i) cluster.IngestOnce("trips_t").ok();
@@ -49,7 +51,7 @@ OutageResult RunOutage(olap::ArchivalMode mode) {
   result.lag_after_outage = cluster.IngestLag("trips_t").value();
 
   // Store returns; everything archives eventually in both modes.
-  store.SetAvailable(true);
+  faults.SetDown("store", false);
   cluster.IngestAll("trips_t").ok();
   cluster.DrainArchivalQueue("trips_t").ok();
   result.archived_after_recovery =
@@ -134,7 +136,9 @@ int Main() {
   // Server-loss recovery with the store still down: only peers can serve.
   std::printf("\nserver loss during store outage (p2p replicas, RF=2):\n");
   stream::Broker broker("c1");
+  common::FaultInjector faults;
   storage::InMemoryObjectStore store;
+  store.SetFaultInjector(&faults);
   stream::TopicConfig topic;
   topic.num_partitions = 4;
   broker.CreateTopic("trips", topic).ok();
@@ -148,7 +152,7 @@ int Main() {
   generator.Produce(&broker, "trips", 8'000).ok();
   cluster.IngestAll("trips_t").ok();
   int64_t rows = cluster.NumRows("trips_t").value();
-  store.SetAvailable(false);
+  faults.SetDown("store", true);
   cluster.KillServer("trips_t", 0).ok();
   int64_t after_kill = cluster.NumRows("trips_t").value();
   olap::RecoveryReport report = cluster.RecoverServer("trips_t", 0).value();

@@ -54,9 +54,9 @@ PolicyResult RunPollPolicy(bool drop) {
     stream::Consumer consumer(&broker, "g", "t", "m");
     consumer.Subscribe().ok();
     while (true) {
-      auto batch = consumer.Poll(64);
+      auto batch = consumer.PollViews(64);
       if (!batch.ok() || batch.value().empty()) break;
-      for (const stream::Message& m : batch.value()) {
+      for (const stream::wire::MessageView& m : batch.value().messages) {
         if (m.value == "poison") {
           if (drop) {
             lost.fetch_add(1);

@@ -52,9 +52,9 @@ int Main() {
   for (int32_t p = 0; p < 4; ++p) {
     int64_t offset = 0;
     while (true) {
-      auto batch = platform.streams()->Fetch("trips", p, offset, 4096);
+      auto batch = platform.streams()->FetchViews("trips", p, offset, 4096);
       if (!batch.ok() || batch.value().empty()) break;
-      for (const stream::Message& m : batch.value()) {
+      for (const stream::wire::MessageView& m : batch.value().messages) {
         offset = m.offset + 1;
         Result<Row> row = DecodeRow(m.value);
         if (row.ok()) raw_rows.push_back(std::move(row.value()));

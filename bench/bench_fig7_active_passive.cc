@@ -38,9 +38,11 @@ int Main() {
                                             "dca");
   std::set<std::string> seen;
   while (static_cast<int64_t>(seen.size()) < kMessages / 2) {
-    auto batch = consumer.Poll(100);
+    auto batch = consumer.PollViews(100);
     if (!batch.ok() || batch.value().empty()) break;
-    for (const stream::Message& m : batch.value()) seen.insert(m.value);
+    for (const stream::wire::MessageView& m : batch.value().messages) {
+      seen.emplace(m.value);
+    }
   }
   int64_t before = static_cast<int64_t>(seen.size());
   std::printf("consumed %lld/%lld in dca, committed\n",
@@ -53,10 +55,10 @@ int Main() {
 
   int64_t duplicates = 0;
   while (true) {
-    auto batch = consumer.Poll(200);
+    auto batch = consumer.PollViews(200);
     if (!batch.ok() || batch.value().empty()) break;
-    for (const stream::Message& m : batch.value()) {
-      if (!seen.insert(m.value).second) ++duplicates;
+    for (const stream::wire::MessageView& m : batch.value().messages) {
+      if (!seen.emplace(m.value).second) ++duplicates;
     }
   }
   int64_t lost = kMessages - static_cast<int64_t>(seen.size());

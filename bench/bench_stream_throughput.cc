@@ -22,9 +22,9 @@
 //   - produce, batched end to end: BatchingProducer on the same core doing
 //     both the client encode and the broker append (the honest single-thread
 //     number; in production these run on different machines).
-//   - fetch: Broker::Fetch (deep copy into owning Messages, one header map
-//     per message) vs Broker::FetchViews (borrowed string_view slices, zero
-//     per-message allocation).
+//   - fetch: deep copy (FetchViews plus MessageView::ToMessage per record into
+//     owning Messages, one header map per message) vs Broker::FetchViews
+//     alone (borrowed string_view slices, zero per-message allocation).
 //
 // The headline combined speedup is broker-side produce + fetch — the paper's
 // fleet-sizing metric. With UBERRT_PERF_GATE set, exits non-zero if the
@@ -169,12 +169,19 @@ int Main() {
     base_fetch_us[rep] = bench::TimeUs([&] {
       int64_t offset = 0;
       while (offset < kMessages) {
-        auto fetched = base_broker->Fetch("t", 0, offset, kFetchChunk);
-        if (!fetched.ok() || fetched.value().empty()) break;
-        for (const stream::Message& m : fetched.value()) {
+        // The deep-copy fetch, bench-local: the same view fetch plus one
+        // owning Message per record.
+        auto views = base_broker->FetchViews("t", 0, offset, kFetchChunk);
+        if (!views.ok() || views.value().empty()) break;
+        std::vector<stream::Message> fetched;
+        fetched.reserve(views.value().size());
+        for (const stream::wire::MessageView& v : views.value().messages) {
+          fetched.push_back(v.ToMessage());
+        }
+        for (const stream::Message& m : fetched) {
           base_sum += m.value.size() + m.headers.size();
         }
-        offset = fetched.value().back().offset + 1;
+        offset = fetched.back().offset + 1;
       }
     });
   }

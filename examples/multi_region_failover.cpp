@@ -35,9 +35,11 @@ int main() {
   allactive::ActivePassiveConsumer payments(&topology, "payments", "trips", "dca");
   std::set<std::string> seen;
   while (seen.size() < 400) {
-    auto batch = payments.Poll(50);
+    auto batch = payments.PollViews(50);
     if (!batch.ok() || batch.value().empty()) break;
-    for (const stream::Message& m : batch.value()) seen.insert(m.value);
+    for (const stream::wire::MessageView& m : batch.value().messages) {
+      seen.emplace(m.value);
+    }
   }
   std::printf("payments consumed %zu events in dca (committed)\n", seen.size());
 
@@ -55,10 +57,10 @@ int main() {
   payments.FailoverTo("phx").ok();
   int64_t duplicates = 0;
   while (true) {
-    auto batch = payments.Poll(100);
+    auto batch = payments.PollViews(100);
     if (!batch.ok() || batch.value().empty()) break;
-    for (const stream::Message& m : batch.value()) {
-      if (!seen.insert(m.value).second) ++duplicates;
+    for (const stream::wire::MessageView& m : batch.value().messages) {
+      if (!seen.emplace(m.value).second) ++duplicates;
     }
   }
   std::printf("active/passive: payments resumed in %s — %zu/1000 events seen, "

@@ -332,9 +332,9 @@ Status ActivePassiveConsumer::OpenConsumer() {
   return subscribed;
 }
 
-Result<std::vector<stream::Message>> ActivePassiveConsumer::Poll(size_t max_messages) {
+Result<stream::FetchedBatch> ActivePassiveConsumer::PollViews(size_t max_messages) {
   if (!consumer_) return Status::FailedPrecondition("consumer not open");
-  Result<std::vector<stream::Message>> batch = consumer_->Poll(max_messages);
+  Result<stream::FetchedBatch> batch = consumer_->PollViews(max_messages);
   if (!batch.ok()) return batch;
   UBERRT_RETURN_IF_ERROR(consumer_->Commit());
   return batch;

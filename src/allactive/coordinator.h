@@ -181,8 +181,9 @@ class ActivePassiveConsumer {
   ActivePassiveConsumer(MultiRegionTopology* topology, std::string group,
                         std::string topic, std::string initial_region);
 
-  /// Polls from the current region's aggregate cluster and commits.
-  Result<std::vector<stream::Message>> Poll(size_t max_messages);
+  /// Polls borrowed views from the current region's aggregate cluster and
+  /// commits (FetchedBatch lifetime rules as for Consumer::PollViews).
+  Result<stream::FetchedBatch> PollViews(size_t max_messages);
 
   /// Fails over: syncs offsets from the old region to `new_region` and
   /// reopens the consumer there. Both steps run under a RetryPolicy with a

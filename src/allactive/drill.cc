@@ -76,12 +76,12 @@ DrillReport DrillHarness::Run(DrillMode mode) {
   TimestampMs last_ok_poll_ms = 0;
 
   const auto poll_and_record = [&]() {
-    Result<std::vector<stream::Message>> batch = consumer.Poll(1'000);
+    Result<stream::FetchedBatch> batch = consumer.PollViews(1'000);
     if (!batch.ok()) return false;
-    for (const stream::Message& message : batch.value()) {
-      auto uid = message.headers.find(stream::kHeaderUid);
-      if (uid == message.headers.end()) continue;
-      if (!consumed_uids.insert(uid->second).second) ++report.replayed;
+    for (const stream::wire::MessageView& message : batch.value().messages) {
+      std::string_view uid;
+      if (!message.GetHeader(stream::kHeaderUid, &uid)) continue;
+      if (!consumed_uids.emplace(uid).second) ++report.replayed;
     }
     last_ok_poll_ms = clock.NowMs();
     return true;

@@ -35,8 +35,7 @@ struct FaultRule {
   int64_t added_latency_ms = 0;
   /// Scripted outage schedule: the site is hard-down inside any window.
   std::vector<OutageWindow> outages;
-  /// Unconditional kill switch, the moral equivalent of the old
-  /// InMemoryObjectStore::SetAvailable(false).
+  /// Unconditional kill switch (a whole-component outage).
   bool down = false;
   /// If >= 0, the rule stops firing after this many injected faults. A value
   /// of 1 makes a one-shot fault (e.g. crash a job exactly once).

@@ -139,11 +139,11 @@ Result<MicroBatchReport> RunMicroBatchWindowAggregate(
     if (!end.ok()) return end.status();
     int64_t offset = begin.value();
     while (offset < end.value()) {
-      Result<std::vector<stream::Message>> batch =
-          bus->Fetch(source.topic, p, offset, 1024);
+      Result<stream::FetchedBatch> batch =
+          bus->FetchViews(source.topic, p, offset, 1024);
       if (!batch.ok()) return batch.status();
       if (batch.value().empty()) break;
-      for (const stream::Message& m : batch.value()) {
+      for (const stream::wire::MessageView& m : batch.value().messages) {
         offset = m.offset + 1;
         Result<Row> row = DecodeRow(m.value);
         if (!row.ok()) continue;

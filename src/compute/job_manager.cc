@@ -212,14 +212,6 @@ Status JobManager::Tick() {
   return Status::Ok();
 }
 
-Status JobManager::InjectFailure(const std::string& id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return Status::NotFound("no job: " + id);
-  if (it->second->runner) it->second->runner->Cancel();
-  return Status::Ok();
-}
-
 JobRunner* JobManager::GetRunner(const std::string& id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = jobs_.find(id);

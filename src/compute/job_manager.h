@@ -78,11 +78,6 @@ class JobManager {
   /// periodic checkpoints. Deterministic (no internal timer thread).
   Status Tick();
 
-  /// Compat shim over the unified fault plane: hard-kills the job's runner
-  /// as if the process crashed. New code scripts a one-shot
-  /// "job.crash.<id>" rule on the injector instead.
-  Status InjectFailure(const std::string& id);
-
   /// Attaches the process-wide fault plane. Each Tick consults
   /// Check("job.crash.<id>") per running job; an injected fault cancels the
   /// runner (simulated crash), and the same sweep's crash detection restarts

@@ -502,44 +502,18 @@ void JobRunner::RunSource(size_t source_index) {
       src.end_targets[p] = end.ok() ? end.value() : src.positions[p].load();
     }
   }
-  // Per-record mode (max_batch_records <= 1) keeps the seed's deep-copy
-  // Fetch path so the bench baseline measures the old dataflow honestly;
-  // batched mode fetches borrowed views and decodes straight from the
-  // broker's arenas (zero copy until Row materialization). The FetchedBatch
-  // pin dies at the end of each partition's poll, after every record has
-  // been decoded into an owning Row.
-  const bool zero_copy = max_batch_ > 1;
+  // Sources fetch borrowed views and decode straight from the broker's
+  // arenas (zero copy until Row materialization); per-record mode differs
+  // only in its batch cap of 1. The FetchedBatch pin dies at the end of each
+  // partition's poll, after every record has been decoded into an owning Row.
   bool got_data = false;
   for (size_t p = 0; p < src.positions.size() && !cancel_.load(); ++p) {
     if (!src.stash.empty()) break;  // downstream full: stop pulling more
-    stream::FetchedBatch views;
-    std::vector<stream::Message> owned;
-    Status fetch_status = Status::Ok();
-    if (zero_copy) {
-      Result<stream::FetchedBatch> batch =
-          bus_->FetchViews(src.spec.topic, static_cast<int32_t>(p),
-                           src.positions[p], options_.source_poll_batch);
-      if (batch.ok()) {
-        views = std::move(batch.value());
-      } else {
-        fetch_status = batch.status();
-      }
-    } else {
-      Result<std::vector<stream::Message>> batch =
-          bus_->Fetch(src.spec.topic, static_cast<int32_t>(p), src.positions[p],
-                      options_.source_poll_batch);
-      if (batch.ok()) {
-        owned = std::move(batch.value());
-        for (stream::Message& m : owned) {
-          views.messages.push_back(
-              {m.key, m.value, m.timestamp, m.offset, m.partition, {}, {}, 0});
-        }
-      } else {
-        fetch_status = batch.status();
-      }
-    }
-    if (!fetch_status.ok()) {
-      if (fetch_status.code() == StatusCode::kOutOfRange) {
+    Result<stream::FetchedBatch> batch =
+        bus_->FetchViews(src.spec.topic, static_cast<int32_t>(p), src.positions[p],
+                         options_.source_poll_batch);
+    if (!batch.ok()) {
+      if (batch.status().code() == StatusCode::kOutOfRange) {
         Result<int64_t> begin =
             bus_->BeginOffset(src.spec.topic, static_cast<int32_t>(p));
         if (begin.ok() && begin.value() > src.positions[p]) {
@@ -548,7 +522,7 @@ void JobRunner::RunSource(size_t source_index) {
       }
       continue;
     }
-    for (const stream::wire::MessageView& m : views.messages) {
+    for (const stream::wire::MessageView& m : batch.value().messages) {
       got_data = true;
       Result<Row> row = DecodeRow(m.value);
       // Position advances only after the record is in the pipeline (queue,

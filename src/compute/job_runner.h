@@ -31,10 +31,9 @@ struct JobRunnerOptions {
   size_t source_poll_batch = 256;
   /// Max records per ElementBatch flowing through a channel. Batching
   /// amortizes queue mutexes, wakeup CASes and in-flight bookkeeping across
-  /// the batch (Section 4.2's pipelined network buffers). <= 1 reproduces
-  /// the per-record dataflow of the seed — each element travels alone and
-  /// sources fall back to the deep-copy Fetch path — which the bench keeps
-  /// as its baseline.
+  /// the batch (Section 4.2's pipelined network buffers). <= 1 gives the
+  /// per-record dataflow — each element travels alone through the same
+  /// zero-copy source path — which the bench keeps as its baseline.
   size_t max_batch_records = 256;
   /// Fuse consecutive same-parallelism stateless transforms (map / filter /
   /// flatmap) into one operator instance per parallel slot, eliminating the

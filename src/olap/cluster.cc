@@ -341,8 +341,8 @@ Result<int64_t> OlapCluster::IngestOnce(const std::string& table,
             }
             size_t want =
                 std::min(max_per_partition - used, static_cast<size_t>(room));
-            Result<std::vector<stream::Message>> batch =
-                bus_->Fetch(t->topic, partition_id, sp.stream_offset, want);
+            Result<stream::FetchedBatch> batch =
+                bus_->FetchViews(t->topic, partition_id, sp.stream_offset, want);
             if (!batch.ok()) {
               if (batch.status().code() == StatusCode::kOutOfRange) {
                 Result<int64_t> begin = bus_->BeginOffset(t->topic, partition_id);
@@ -353,7 +353,9 @@ Result<int64_t> OlapCluster::IngestOnce(const std::string& table,
             }
             if (batch.value().empty()) break;
             used += batch.value().size();
-            for (const stream::Message& m : batch.value()) {
+            // Rows decode straight out of the borrowed log slices; the
+            // batch's pins keep them valid until it goes out of scope.
+            for (const stream::wire::MessageView& m : batch.value().messages) {
               Result<Row> row = DecodeRow(m.value);
               sp.stream_offset = m.offset + 1;
               if (!row.ok()) {

@@ -309,7 +309,10 @@ void LifecycleManager::Register(const std::shared_ptr<SegmentHandle>& handle) {
 }
 
 std::vector<std::shared_ptr<SegmentHandle>> LifecycleManager::SnapshotLru() {
-  std::vector<std::shared_ptr<SegmentHandle>> out;
+  // Sort on one read of each last_touch: concurrent queries bump it, and a
+  // key that moves mid-sort breaks the ordering std::stable_sort relies on
+  // (it then reads out of bounds).
+  std::vector<std::pair<uint64_t, std::shared_ptr<SegmentHandle>>> touched;
   {
     std::lock_guard<std::mutex> lock(registry_mu_);
     size_t keep = 0;
@@ -317,15 +320,15 @@ std::vector<std::shared_ptr<SegmentHandle>> LifecycleManager::SnapshotLru() {
       std::shared_ptr<SegmentHandle> h = handles_[i].lock();
       if (h == nullptr) continue;  // dropped table/partition: prune the slot
       handles_[keep++] = handles_[i];
-      out.push_back(std::move(h));
+      touched.emplace_back(h->last_touch(), std::move(h));
     }
     handles_.resize(keep);
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const std::shared_ptr<SegmentHandle>& a,
-                      const std::shared_ptr<SegmentHandle>& b) {
-                     return a->last_touch() < b->last_touch();
-                   });
+  std::stable_sort(touched.begin(), touched.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::shared_ptr<SegmentHandle>> out;
+  out.reserve(touched.size());
+  for (auto& entry : touched) out.push_back(std::move(entry.second));
   return out;
 }
 

@@ -10,26 +10,15 @@ InMemoryObjectStore::InMemoryObjectStore(ObjectStoreOptions options, Clock* cloc
       bytes_written_(metrics_.GetCounter("storage.bytes_written")),
       unavailable_errors_(metrics_.GetCounter("storage.unavailable_errors")) {}
 
-Status InMemoryObjectStore::CheckAvailable(const char* op, const char* site) const {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!available_) {
-      unavailable_errors_->Increment();
-      return Status::Unavailable(std::string("object store down during ") + op);
-    }
-  }
-  if (faults_ != nullptr) {
-    Status injected = faults_->Check(site);
-    if (!injected.ok()) {
-      unavailable_errors_->Increment();
-      return injected;
-    }
-  }
-  return Status::Ok();
+Status InMemoryObjectStore::CheckAvailable(const char* site) const {
+  if (faults_ == nullptr) return Status::Ok();
+  Status injected = faults_->Check(site);
+  if (!injected.ok()) unavailable_errors_->Increment();
+  return injected;
 }
 
 Status InMemoryObjectStore::Put(const std::string& key, const std::string& data) {
-  UBERRT_RETURN_IF_ERROR(CheckAvailable("Put", "store.put"));
+  UBERRT_RETURN_IF_ERROR(CheckAvailable("store.put"));
   if (options_.put_latency_ms > 0) clock_->SleepMs(options_.put_latency_ms);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = objects_.find(key);
@@ -46,7 +35,7 @@ Status InMemoryObjectStore::Put(const std::string& key, const std::string& data)
 }
 
 Result<std::string> InMemoryObjectStore::Get(const std::string& key) const {
-  UBERRT_RETURN_IF_ERROR(CheckAvailable("Get", "store.get"));
+  UBERRT_RETURN_IF_ERROR(CheckAvailable("store.get"));
   if (options_.get_latency_ms > 0) clock_->SleepMs(options_.get_latency_ms);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = objects_.find(key);
@@ -56,7 +45,7 @@ Result<std::string> InMemoryObjectStore::Get(const std::string& key) const {
 }
 
 Status InMemoryObjectStore::Delete(const std::string& key) {
-  UBERRT_RETURN_IF_ERROR(CheckAvailable("Delete", "store.delete"));
+  UBERRT_RETURN_IF_ERROR(CheckAvailable("store.delete"));
   std::lock_guard<std::mutex> lock(mu_);
   auto it = objects_.find(key);
   if (it == objects_.end()) return Status::NotFound("no object: " + key);
@@ -68,14 +57,13 @@ Status InMemoryObjectStore::Delete(const std::string& key) {
 bool InMemoryObjectStore::Exists(const std::string& key) const {
   if (faults_ != nullptr && faults_->IsDown("store")) return false;
   std::lock_guard<std::mutex> lock(mu_);
-  return available_ && objects_.count(key) > 0;
+  return objects_.count(key) > 0;
 }
 
 std::vector<std::string> InMemoryObjectStore::List(const std::string& prefix) const {
   std::vector<std::string> out;
   if (faults_ != nullptr && faults_->IsDown("store")) return out;
   std::lock_guard<std::mutex> lock(mu_);
-  if (!available_) return out;
   for (auto it = objects_.lower_bound(prefix); it != objects_.end(); ++it) {
     if (it->first.compare(0, prefix.size(), prefix) != 0) break;
     out.push_back(it->first);
@@ -86,16 +74,6 @@ std::vector<std::string> InMemoryObjectStore::List(const std::string& prefix) co
 int64_t InMemoryObjectStore::TotalBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return total_bytes_;
-}
-
-void InMemoryObjectStore::SetAvailable(bool available) {
-  std::lock_guard<std::mutex> lock(mu_);
-  available_ = available;
-}
-
-bool InMemoryObjectStore::available() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return available_;
 }
 
 }  // namespace uberrt::storage

@@ -42,9 +42,9 @@ class ObjectStore {
 };
 
 /// Behaviour knobs for the in-memory store: injected latency models the
-/// network hop to a remote archival cluster; availability toggling models
-/// the HDFS outages that motivated peer-to-peer segment recovery
-/// (Section 4.3.4).
+/// network hop to a remote archival cluster. Outages (the HDFS outages that
+/// motivated peer-to-peer segment recovery, Section 4.3.4) are scripted on
+/// the fault plane: SetDown("store") fails every operation.
 struct ObjectStoreOptions {
   int64_t put_latency_ms = 0;
   int64_t get_latency_ms = 0;
@@ -63,16 +63,6 @@ class InMemoryObjectStore : public ObjectStore {
   std::vector<std::string> List(const std::string& prefix) const override;
   int64_t TotalBytes() const override;
 
-  /// Failure injection: while unavailable every operation returns
-  /// Unavailable, the situation the paper says "caused all data ingestion to
-  /// come to a halt" with the centralized segment store.
-  ///
-  /// Compat shim over the unified fault plane: new code should script the
-  /// store through a FaultInjector ("store", "store.put", "store.get",
-  /// "store.delete") attached via SetFaultInjector.
-  void SetAvailable(bool available);
-  bool available() const;
-
   /// Attaches the process-wide fault plane. Put/Get/Delete consult
   /// Check("store.<op>"), Exists/List consult IsDown("store"). Pass nullptr
   /// to detach. Not synchronized with in-flight operations: attach before
@@ -84,7 +74,7 @@ class InMemoryObjectStore : public ObjectStore {
   MetricsRegistry* mutable_metrics() { return &metrics_; }
 
  private:
-  Status CheckAvailable(const char* op, const char* site) const;
+  Status CheckAvailable(const char* site) const;
 
   ObjectStoreOptions options_;
   Clock* clock_;
@@ -92,7 +82,6 @@ class InMemoryObjectStore : public ObjectStore {
   mutable std::mutex mu_;
   std::map<std::string, std::string> objects_;
   int64_t total_bytes_ = 0;
-  bool available_ = true;
   mutable MetricsRegistry metrics_;
   // Handles resolved once at construction: the per-op registry lookup (map
   // lock + string hash) would otherwise sit on the Put/Get hot path.

@@ -214,27 +214,18 @@ Result<ProduceResult> Broker::ProduceBatch(const std::string& topic, int32_t par
   return result;
 }
 
-Status Broker::Replicate(const std::string& topic, const Message& message) {
+Status Broker::Replicate(const std::string& topic, int32_t partition,
+                         int64_t base_offset, const wire::EncodedBatch& batch) {
   Result<std::shared_ptr<Topic>> found = FindTopic(topic);
   if (!found.ok()) return found.status();
   std::shared_ptr<Topic> t = std::move(found.value());
   if (!available_.load(std::memory_order_acquire)) {
     return Status::Unavailable("cluster " + name_ + " down");
   }
-  if (message.partition < 0 ||
-      message.partition >= static_cast<int32_t>(t->partitions.size())) {
+  if (partition < 0 || partition >= static_cast<int32_t>(t->partitions.size())) {
     return Status::InvalidArgument("replicate: bad partition");
   }
-  return t->partitions[static_cast<size_t>(message.partition)]->AppendWithOffset(message);
-}
-
-Result<std::vector<Message>> Broker::Fetch(const std::string& topic, int32_t partition,
-                                           int64_t offset, size_t max_messages) const {
-  // Compatibility shim over the zero-copy path: same gates, plus one owning
-  // deep copy per message. Going through FetchViews also stamps partitions.
-  Result<FetchedBatch> views = FetchViews(topic, partition, offset, max_messages);
-  if (!views.ok()) return views.status();
-  return views.value().ToMessages();
+  return t->partitions[static_cast<size_t>(partition)]->AppendBatchAt(batch, base_offset);
 }
 
 Result<FetchedBatch> Broker::FetchViews(const std::string& topic, int32_t partition,

@@ -58,12 +58,6 @@ Status Consumer::RefreshAssignmentIfNeeded() {
   return Status::Ok();
 }
 
-Result<std::vector<Message>> Consumer::Poll(size_t max_messages) {
-  Result<FetchedBatch> views = PollViews(max_messages);
-  if (!views.ok()) return views.status();
-  return views.value().ToMessages();
-}
-
 Result<FetchedBatch> Consumer::PollViews(size_t max_messages) {
   if (!subscribed_) return Status::FailedPrecondition("not subscribed");
   UBERRT_RETURN_IF_ERROR(RefreshAssignmentIfNeeded());

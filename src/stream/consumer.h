@@ -17,8 +17,8 @@ enum class OffsetReset { kEarliest, kLatest };
 /// Group consumer against a MessageBus (physical or federated logical
 /// cluster). Mirrors the Kafka client model: join a group, poll the
 /// partitions assigned to this member, commit positions. Rebalances are
-/// picked up automatically at the next Poll when the group generation moved
-/// (a member joined/left or the topic migrated clusters).
+/// picked up automatically at the next PollViews when the group generation
+/// moved (a member joined/left or the topic migrated clusters).
 ///
 /// Not thread-safe: one Consumer per thread, like the Kafka client.
 class Consumer {
@@ -30,25 +30,20 @@ class Consumer {
   Consumer(const Consumer&) = delete;
   Consumer& operator=(const Consumer&) = delete;
 
-  /// Joins the consumer group. Must be called before Poll.
+  /// Joins the consumer group. Must be called before PollViews.
   Status Subscribe();
 
   /// Leaves the group.
   Status Close();
 
-  /// Fetches up to `max_messages` from this member's assigned partitions
-  /// (round-robin across them). Empty result when caught up.
-  /// Compatibility shim over PollViews: one owning deep copy per message.
-  Result<std::vector<Message>> Poll(size_t max_messages);
-
   /// Batch fetch: up to `max_messages` borrowed zero-copy views from this
-  /// member's assigned partitions. The returned FetchedBatch pins the log
-  /// segments the views borrow, so they outlive retention and rebalances;
-  /// decode to owning Messages (view.ToMessage()) only where ownership is
-  /// genuinely needed.
+  /// member's assigned partitions (round-robin across them; empty when
+  /// caught up). The returned FetchedBatch pins the log segments the views
+  /// borrow, so they outlive retention and rebalances; decode to owning
+  /// Messages (view.ToMessage()) only where ownership is genuinely needed.
   Result<FetchedBatch> PollViews(size_t max_messages);
 
-  /// Commits the positions reached by Poll for all assigned partitions.
+  /// Commits the positions reached by PollViews for all assigned partitions.
   Status Commit();
 
   /// Positions currently held (partition -> next offset to read).

@@ -55,19 +55,20 @@ Result<int64_t> DlqManager::DrainDlq(const std::string& topic,
       position = begin.value();
     }
     while (true) {
-      Result<std::vector<Message>> batch = bus_->Fetch(dlq, p, position, 256);
+      Result<FetchedBatch> batch = bus_->FetchViews(dlq, p, position, 256);
       if (!batch.ok()) return batch.status();
       if (batch.value().empty()) break;
-      for (Message& m : batch.value()) {
-        position = m.offset + 1;
+      for (const wire::MessageView& v : batch.value().messages) {
+        position = v.offset + 1;
         ++handled;
-        if (reinject) {
-          m.headers[kHeaderRetryCount] = "0";
-          m.offset = -1;
-          Result<ProduceResult> produced =
-              bus_->Produce(topic, std::move(m), AckMode::kLeader);
-          if (!produced.ok()) return produced.status();
-        }
+        if (!reinject) continue;
+        // Only reinjected messages are materialized (Produce takes ownership).
+        Message m = v.ToMessage();
+        m.headers[kHeaderRetryCount] = "0";
+        m.offset = -1;
+        Result<ProduceResult> produced =
+            bus_->Produce(topic, std::move(m), AckMode::kLeader);
+        if (!produced.ok()) return produced.status();
       }
     }
     UBERRT_RETURN_IF_ERROR(bus_->CommitOffset(consumer_group, dlq, p, position));

@@ -17,6 +17,34 @@ std::string OffsetKey(const std::string& group, const std::string& topic,
   return group + '\0' + topic + '\0' + std::to_string(partition);
 }
 
+/// Copies every retained record of `topic` from `source` to the same
+/// partition and offset on `target`: each fetch's raw frames are re-appended
+/// verbatim as one batch, as uReplicator does — no Message is materialized.
+Status CopyTopic(const Broker& source, Broker* target, const std::string& topic) {
+  Result<int32_t> partitions = source.NumPartitions(topic);
+  if (!partitions.ok()) return partitions.status();
+  for (int32_t p = 0; p < partitions.value(); ++p) {
+    Result<int64_t> begin = source.BeginOffset(topic, p);
+    Result<int64_t> end = source.EndOffset(topic, p);
+    if (!begin.ok()) return begin.status();
+    if (!end.ok()) return end.status();
+    int64_t offset = begin.value();
+    while (offset < end.value()) {
+      Result<FetchedBatch> batch = source.FetchViews(topic, p, offset, 1024);
+      if (!batch.ok()) return batch.status();
+      if (batch.value().empty()) break;
+      wire::BatchBuilder builder;
+      for (const wire::MessageView& v : batch.value().messages) {
+        builder.AddEncodedFrame(v.raw_frame, v.timestamp);
+      }
+      UBERRT_RETURN_IF_ERROR(
+          target->Replicate(topic, p, offset, builder.Finish()));
+      offset = batch.value().messages.back().offset + 1;
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Status KafkaFederation::AddCluster(std::unique_ptr<Broker> cluster,
@@ -148,14 +176,6 @@ Result<FetchedBatch> KafkaFederation::FetchViews(const std::string& topic,
   return broker.value()->FetchViews(topic, partition, offset, max_messages);
 }
 
-Result<std::vector<Message>> KafkaFederation::Fetch(const std::string& topic,
-                                                    int32_t partition, int64_t offset,
-                                                    size_t max_messages) const {
-  Result<std::shared_ptr<Broker>> broker = Route(topic);
-  if (!broker.ok()) return broker.status();
-  return broker.value()->Fetch(topic, partition, offset, max_messages);
-}
-
 Result<int64_t> KafkaFederation::BeginOffset(const std::string& topic,
                                              int32_t partition) const {
   Result<std::shared_ptr<Broker>> broker = Route(topic);
@@ -193,23 +213,10 @@ Status KafkaFederation::MigrateTopic(const std::string& topic,
   }
   // Copy data preserving partition/offset so consumer positions stay valid.
   UBERRT_RETURN_IF_ERROR(target->CreateTopic(topic, config));
-  Result<int32_t> partitions = source->NumPartitions(topic);
-  if (!partitions.ok()) return partitions.status();
-  for (int32_t p = 0; p < partitions.value(); ++p) {
-    Result<int64_t> begin = source->BeginOffset(topic, p);
-    Result<int64_t> end = source->EndOffset(topic, p);
-    if (!begin.ok()) return begin.status();
-    if (!end.ok()) return end.status();
-    int64_t offset = begin.value();
-    while (offset < end.value()) {
-      Result<std::vector<Message>> batch = source->Fetch(topic, p, offset, 1024);
-      if (!batch.ok()) return batch.status();
-      if (batch.value().empty()) break;
-      for (const Message& m : batch.value()) {
-        UBERRT_RETURN_IF_ERROR(target->Replicate(topic, m));
-      }
-      offset = batch.value().back().offset + 1;
-    }
+  Status copied = CopyTopic(*source, target.get(), topic);
+  if (!copied.ok()) {
+    target->DeleteTopic(topic).ok();  // no orphan: a retry starts clean
+    return copied;
   }
   // Flip the route atomically; in-flight consumers continue seamlessly.
   {

@@ -48,8 +48,11 @@ class KafkaFederation : public MessageBus {
   /// Name of the physical cluster currently hosting a topic.
   Result<std::string> HostingCluster(const std::string& topic) const;
 
-  /// Copies the topic's data to `target_cluster` preserving offsets, then
-  /// atomically re-routes. Live consumers continue without restart.
+  /// Copies the topic's retained data to `target_cluster` preserving
+  /// partitions and offsets (raw frames re-appended verbatim, one batch per
+  /// fetch), then atomically re-routes. Live consumers continue without
+  /// restart. On any copy error the half-copied target topic is deleted, so
+  /// a retry starts clean.
   Status MigrateTopic(const std::string& topic, const std::string& target_cluster);
 
   /// Re-homes a topic whose hosting cluster died onto a healthy cluster
@@ -68,8 +71,6 @@ class KafkaFederation : public MessageBus {
   Result<ProduceResult> ProduceBatch(const std::string& topic, int32_t partition,
                                      const wire::EncodedBatch& batch,
                                      AckMode ack = AckMode::kLeader) override;
-  Result<std::vector<Message>> Fetch(const std::string& topic, int32_t partition,
-                                     int64_t offset, size_t max_messages) const override;
   /// Zero-copy batch fetch routed to the hosting cluster.
   Result<FetchedBatch> FetchViews(const std::string& topic, int32_t partition,
                                   int64_t offset, size_t max_messages) const override;

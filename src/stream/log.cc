@@ -29,28 +29,18 @@ int64_t PartitionLog::AppendBatchLocked(const wire::EncodedBatch& batch) {
   return base;
 }
 
-int64_t PartitionLog::AppendMessageLocked(const Message& message) {
+int64_t PartitionLog::Append(Message message) {
   wire::BatchBuilder builder;
   builder.Add(message);
-  return AppendBatchLocked(builder.Finish());
-}
-
-int64_t PartitionLog::Append(Message message) {
+  wire::EncodedBatch batch = builder.Finish();
   std::lock_guard<std::mutex> lock(mu_);
-  return AppendMessageLocked(message);
+  return AppendBatchLocked(batch);
 }
 
-Status PartitionLog::AppendWithOffset(Message message) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (message.offset != end_offset_) {
-    return Status::InvalidArgument("offset gap: expected " + std::to_string(end_offset_) +
-                                   " got " + std::to_string(message.offset));
-  }
-  AppendMessageLocked(message);
-  return Status::Ok();
-}
+namespace {
 
-Result<int64_t> PartitionLog::AppendBatch(const wire::EncodedBatch& batch) {
+/// Structural checks shared by both batch appends, run before the lock.
+Status CheckBatch(const wire::EncodedBatch& batch) {
   if (batch.record_count == 0) {
     return Status::InvalidArgument("empty batch");
   }
@@ -58,16 +48,29 @@ Result<int64_t> PartitionLog::AppendBatch(const wire::EncodedBatch& batch) {
   if (wire::ReadU32(batch.data.data() + 4) != batch.record_count) {
     return Status::InvalidArgument("batch record_count does not match header");
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<int64_t> PartitionLog::AppendBatch(const wire::EncodedBatch& batch) {
+  UBERRT_RETURN_IF_ERROR(CheckBatch(batch));
   std::lock_guard<std::mutex> lock(mu_);
   return AppendBatchLocked(batch);
 }
 
-Result<std::vector<Message>> PartitionLog::Read(int64_t offset,
-                                                size_t max_messages) const {
-  Result<FetchedBatch> views = ReadViews(offset, max_messages);
-  if (!views.ok()) return views.status();
-  // Materialize outside the lock: deep copies no longer serialize appends.
-  return views.value().ToMessages();
+Status PartitionLog::AppendBatchAt(const wire::EncodedBatch& batch,
+                                   int64_t base_offset) {
+  UBERRT_RETURN_IF_ERROR(CheckBatch(batch));
+  std::lock_guard<std::mutex> lock(mu_);
+  const bool empty = begin_offset_ == end_offset_;
+  if (base_offset != end_offset_ && !(empty && base_offset > end_offset_)) {
+    return Status::InvalidArgument("offset gap: expected " + std::to_string(end_offset_) +
+                                   " got " + std::to_string(base_offset));
+  }
+  begin_offset_ = end_offset_ = base_offset;
+  AppendBatchLocked(batch);
+  return Status::Ok();
 }
 
 Result<FetchedBatch> PartitionLog::ReadViews(int64_t offset,

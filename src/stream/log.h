@@ -51,14 +51,6 @@ struct FetchedBatch {
   bool empty() const { return messages.empty(); }
   size_t size() const { return messages.size(); }
 
-  /// Deep-copies every view into an owning Message (compatibility boundary).
-  std::vector<Message> ToMessages() const {
-    std::vector<Message> out;
-    out.reserve(messages.size());
-    for (const wire::MessageView& v : messages) out.push_back(v.ToMessage());
-    return out;
-  }
-
   /// Steals the other batch's views and pins (multi-partition polls).
   void Merge(FetchedBatch&& other) {
     for (auto& v : other.messages) messages.push_back(v);
@@ -98,20 +90,19 @@ class PartitionLog {
   /// should pre-encode with wire::BatchBuilder and use AppendBatch.)
   int64_t Append(Message message);
 
-  /// Appends preserving `message.offset` (used by intra-federation topic
-  /// migration where offset continuity must be preserved). The offset must
-  /// equal the current end offset.
-  Status AppendWithOffset(Message message);
-
   /// Appends a sealed batch with a single memcpy into the active arena
   /// segment. The batch is validated (magic, sizes, CRC, frame structure)
   /// before any state changes; Corruption means nothing was appended.
   /// Returns the base offset assigned to the batch's first record.
   Result<int64_t> AppendBatch(const wire::EncodedBatch& batch);
 
-  /// Reads up to `max_messages` owning Messages starting at `offset`.
-  /// Compatibility shim over ReadViews (one deep copy per message).
-  Result<std::vector<Message>> Read(int64_t offset, size_t max_messages) const;
+  /// Appends a sealed batch whose first record must land at `base_offset`
+  /// (offset-preserving copies such as federated topic migration).
+  /// `base_offset` must equal the end offset, except that an empty log may
+  /// start at any later offset — its begin offset moves there, as a Kafka
+  /// log start offset does — so a source truncated by retention copies
+  /// with its offsets intact. InvalidArgument on a gap; nothing appended.
+  Status AppendBatchAt(const wire::EncodedBatch& batch, int64_t base_offset);
 
   /// Reads up to `max_messages` borrowed views starting at `offset`, with
   /// zero per-message allocation. OutOfRange if offset is below the begin
@@ -148,7 +139,6 @@ class PartitionLog {
   };
 
   int64_t AppendBatchLocked(const wire::EncodedBatch& batch);
-  int64_t AppendMessageLocked(const Message& message);
 
   mutable std::mutex mu_;
   PartitionLogOptions options_;

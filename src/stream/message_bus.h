@@ -51,27 +51,22 @@ class MessageBus {
 
   virtual Result<ProduceResult> Produce(const std::string& topic, Message message,
                                         AckMode ack) = 0;
-  virtual Result<std::vector<Message>> Fetch(const std::string& topic,
-                                             int32_t partition, int64_t offset,
-                                             size_t max_messages) const = 0;
 
   /// Appends a pre-encoded batch (wire::BatchBuilder) to one partition.
   /// ProduceResult.offset is the base offset of the batch's first record.
-  /// The broker overrides this with a single-memcpy append; the default
-  /// decodes and loops Produce (non-atomic) for buses without a native
-  /// batch path. Timestamps are the producer's responsibility: frames are
-  /// appended as encoded, never re-stamped.
+  /// Timestamps are the producer's responsibility: frames are appended as
+  /// encoded, never re-stamped.
   virtual Result<ProduceResult> ProduceBatch(const std::string& topic,
                                              int32_t partition,
                                              const wire::EncodedBatch& batch,
-                                             AckMode ack);
+                                             AckMode ack) = 0;
 
-  /// Batch fetch returning borrowed zero-copy views (see FetchedBatch for
-  /// the lifetime rules). The broker serves views straight from its arena
-  /// segments; the default copies through Fetch into an owned buffer.
+  /// The one read primitive: a batch of borrowed zero-copy views (see
+  /// FetchedBatch for the lifetime rules). Callers that must own the data
+  /// call MessageView::ToMessage() on the views they keep.
   virtual Result<FetchedBatch> FetchViews(const std::string& topic,
                                           int32_t partition, int64_t offset,
-                                          size_t max_messages) const;
+                                          size_t max_messages) const = 0;
   virtual Result<int64_t> BeginOffset(const std::string& topic,
                                       int32_t partition) const = 0;
   virtual Result<int64_t> EndOffset(const std::string& topic,

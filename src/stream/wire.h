@@ -116,8 +116,8 @@ struct MessageView {
   /// Linear scan for a header value; false when absent.
   bool GetHeader(std::string_view name, std::string_view* out) const;
 
-  /// Deep-copies into an owning Message — the compatibility boundary where
-  /// ownership is genuinely needed (endpoints, DLQ, checkpoints).
+  /// Deep-copies into an owning Message — only where a caller must own the
+  /// data (queued endpoints, DLQ reinjection).
   Message ToMessage() const;
 };
 

@@ -383,7 +383,7 @@ TEST(ConsumerFailoverRetryTest, TransientSyncFaultsAreAbsorbedByTheBudget) {
   }
   ASSERT_TRUE(topology.ReplicateAll().ok());
   ActivePassiveConsumer consumer(&topology, "payments", "trips", "dca");
-  ASSERT_TRUE(consumer.Poll(10).ok());
+  ASSERT_TRUE(consumer.PollViews(10).ok());
 
   // The sync plane fails exactly twice, then recovers: the deadline-budget
   // retry inside FailoverTo must absorb both hits.
@@ -399,7 +399,7 @@ TEST(ConsumerFailoverRetryTest, TransientSyncFaultsAreAbsorbedByTheBudget) {
   EXPECT_GE(
       topology.metrics()->GetCounter("retries.allactive.failover.attempts")->value(),
       3);
-  EXPECT_TRUE(consumer.Poll(10).ok());
+  EXPECT_TRUE(consumer.PollViews(10).ok());
 }
 
 TEST(ConsumerFailoverRetryTest, StrandedConsumerRetriesReopenNotSync) {
@@ -410,20 +410,20 @@ TEST(ConsumerFailoverRetryTest, StrandedConsumerRetriesReopenNotSync) {
   ASSERT_TRUE(topology.ProduceToRegion("dca", "trips", Msg("m-0")).ok());
   ASSERT_TRUE(topology.ReplicateAll().ok());
   ActivePassiveConsumer consumer(&topology, "payments", "trips", "dca");
-  ASSERT_TRUE(consumer.Poll(10).ok());
+  ASSERT_TRUE(consumer.PollViews(10).ok());
 
   // The target region lost this topic: the sync half succeeds but the
   // reopen half cannot, leaving the consumer stranded in the new region.
   ASSERT_TRUE(topology.GetRegion("phx")->aggregate()->DeleteTopic("trips").ok());
   EXPECT_FALSE(consumer.FailoverTo("phx").ok());
   EXPECT_EQ(consumer.current_region(), "phx");
-  EXPECT_EQ(consumer.Poll(10).status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(consumer.PollViews(10).status().code(), StatusCode::kFailedPrecondition);
 
   // Once the topic is back, re-calling with the SAME region must retry the
   // reopen (not reject with "already in phx", not re-sync).
   ASSERT_TRUE(topology.GetRegion("phx")->aggregate()->CreateTopic("trips", config).ok());
   ASSERT_TRUE(consumer.FailoverTo("phx").ok());
-  EXPECT_TRUE(consumer.Poll(10).ok());
+  EXPECT_TRUE(consumer.PollViews(10).ok());
   // A live consumer still rejects a no-op failover.
   EXPECT_EQ(consumer.FailoverTo("phx").code(), StatusCode::kInvalidArgument);
 }
@@ -453,10 +453,10 @@ TEST(OffsetSyncRaceTest, SyncRacingPumpsNeverLosesACommittedMessage) {
   std::set<std::string> seen;
   int64_t duplicates = 0;
   const auto drain = [&](size_t max) {
-    Result<std::vector<Message>> batch = consumer.Poll(max);
+    Result<stream::FetchedBatch> batch = consumer.PollViews(max);
     ASSERT_TRUE(batch.ok());
-    for (const Message& m : batch.value()) {
-      if (!seen.insert(m.value).second) ++duplicates;
+    for (const stream::wire::MessageView& m : batch.value().messages) {
+      if (!seen.emplace(m.value).second) ++duplicates;
     }
   };
   for (int round = 0; round < 20; ++round) {

@@ -8,6 +8,7 @@
 namespace uberrt::allactive {
 namespace {
 
+using stream::FetchedBatch;
 using stream::Message;
 using stream::TopicConfig;
 
@@ -33,9 +34,11 @@ class MultiRegionTest : public ::testing::Test {
     std::set<std::string> uids;
     stream::Broker* aggregate = topology_->GetRegion(region)->aggregate();
     for (int32_t p = 0; p < 2; ++p) {
-      Result<std::vector<Message>> batch = aggregate->Fetch("trips", p, 0, 10'000);
+      Result<FetchedBatch> batch = aggregate->FetchViews("trips", p, 0, 10'000);
       if (!batch.ok()) continue;
-      for (const Message& m : batch.value()) uids.insert(m.value);
+      for (const stream::wire::MessageView& m : batch.value().messages) {
+        uids.emplace(m.value);
+      }
     }
     return uids;
   }
@@ -89,10 +92,12 @@ TEST_F(MultiRegionTest, ActivePassiveFailoverLosesNothing) {
   std::set<std::string> seen;
   // Consume roughly half, committing as we go.
   while (static_cast<int64_t>(seen.size()) < produced / 2) {
-    Result<std::vector<Message>> batch = consumer.Poll(40);
+    Result<FetchedBatch> batch = consumer.PollViews(40);
     ASSERT_TRUE(batch.ok());
     if (batch.value().empty()) break;
-    for (const Message& m : batch.value()) seen.insert(m.value);
+    for (const stream::wire::MessageView& m : batch.value().messages) {
+      seen.emplace(m.value);
+    }
   }
   int64_t before_failover = static_cast<int64_t>(seen.size());
   ASSERT_GT(before_failover, 0);
@@ -104,11 +109,11 @@ TEST_F(MultiRegionTest, ActivePassiveFailoverLosesNothing) {
 
   int64_t duplicates = 0;
   while (true) {
-    Result<std::vector<Message>> batch = consumer.Poll(100);
+    Result<FetchedBatch> batch = consumer.PollViews(100);
     ASSERT_TRUE(batch.ok());
     if (batch.value().empty()) break;
-    for (const Message& m : batch.value()) {
-      if (!seen.insert(m.value).second) ++duplicates;
+    for (const stream::wire::MessageView& m : batch.value().messages) {
+      if (!seen.emplace(m.value).second) ++duplicates;
     }
   }
   // Zero loss: every produced message was processed at least once.

@@ -82,11 +82,13 @@ TEST(ChaosSoakTest, NoAckedMessageLostUnderBrokerFaults) {
     int64_t offset = 0;
     const int64_t end = broker.EndOffset("events", p).value();
     while (offset < end) {
-      Result<std::vector<stream::Message>> batch =
-          fetch_retry.RunResult<std::vector<stream::Message>>(
-              [&] { return broker.Fetch("events", p, offset, 64); });
+      Result<stream::FetchedBatch> batch =
+          fetch_retry.RunResult<stream::FetchedBatch>(
+              [&] { return broker.FetchViews("events", p, offset, 64); });
       ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-      for (const stream::Message& m : batch.value()) stored.insert(m.value);
+      for (const stream::wire::MessageView& m : batch.value().messages) {
+        stored.emplace(m.value);
+      }
       offset += static_cast<int64_t>(batch.value().size());
     }
   }
@@ -328,10 +330,12 @@ TEST(ChaosSoakTest, AutoFailoverReplaysBoundedWindowWithZeroLoss) {
   allactive::ActivePassiveConsumer consumer(&topology, "payments", "trips", "dca");
   std::set<std::string> seen;
   while (static_cast<int64_t>(seen.size()) < produced / 2) {
-    Result<std::vector<stream::Message>> batch = consumer.Poll(40);
+    Result<stream::FetchedBatch> batch = consumer.PollViews(40);
     ASSERT_TRUE(batch.ok());
     if (batch.value().empty()) break;
-    for (const stream::Message& m : batch.value()) seen.insert(m.value);
+    for (const stream::wire::MessageView& m : batch.value().messages) {
+      seen.emplace(m.value);
+    }
   }
   ASSERT_GT(seen.size(), 0u);
 
@@ -351,11 +355,11 @@ TEST(ChaosSoakTest, AutoFailoverReplaysBoundedWindowWithZeroLoss) {
   ASSERT_TRUE(consumer.FailoverTo(primary.value()).ok());
   int64_t duplicates = 0;
   while (true) {
-    Result<std::vector<stream::Message>> batch = consumer.Poll(100);
+    Result<stream::FetchedBatch> batch = consumer.PollViews(100);
     ASSERT_TRUE(batch.ok());
     if (batch.value().empty()) break;
-    for (const stream::Message& m : batch.value()) {
-      if (!seen.insert(m.value).second) ++duplicates;
+    for (const stream::wire::MessageView& m : batch.value().messages) {
+      if (!seen.emplace(m.value).second) ++duplicates;
     }
   }
   // Zero loss, bounded replay.

@@ -115,17 +115,6 @@ TEST_F(JobManagerTest, CrashedJobAutoRestartsFromCheckpointWithCorrectState) {
   EXPECT_EQ(results[0][2].AsInt(), 80);
 }
 
-TEST_F(JobManagerTest, InjectFailureShimStillKillsRunner) {
-  std::mutex mu;
-  std::vector<Row> results;
-  Result<std::string> id = manager_->Submit(CountingGraph(&results, &mu));
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(manager_->InjectFailure(id.value()).ok());
-  EXPECT_FALSE(manager_->GetRunner(id.value())->IsRunning());
-  ASSERT_TRUE(manager_->Tick().ok());  // monitor restarts it
-  EXPECT_EQ(manager_->GetJob(id.value()).value().restarts, 1);
-}
-
 TEST_F(JobManagerTest, LagTriggersAutoScaleWithStateRedistribution) {
   JobManagerOptions options;
   options.lag_scale_up_threshold = 100;

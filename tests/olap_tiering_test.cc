@@ -38,6 +38,7 @@ class OlapTieringTest : public ::testing::Test {
   void SetUp() override {
     broker_ = std::make_unique<Broker>("c1");
     store_ = std::make_unique<storage::InMemoryObjectStore>();
+    store_->SetFaultInjector(&store_faults_);  // SetDown("store") = outage
     common::ExecutorOptions pool;
     pool.num_threads = 4;
     pool.name = "executor.tiering_test";
@@ -149,6 +150,7 @@ class OlapTieringTest : public ::testing::Test {
     }
   }
 
+  common::FaultInjector store_faults_;  // outlives the store it is attached to
   std::unique_ptr<Broker> broker_;
   std::unique_ptr<storage::InMemoryObjectStore> store_;
   std::unique_ptr<common::Executor> executor_;
@@ -224,7 +226,7 @@ TEST_F(OlapTieringTest, PruningNeverMaterializesDemotedSegments) {
   ASSERT_TRUE(cluster_->ForceSeal("rides_t").ok());
   ASSERT_TRUE(cluster_->lifecycle()->ApplyTierTargets(0, 0).ok());
 
-  store_->SetAvailable(false);  // any reload attempt would fail loudly
+  store_faults_.SetDown("store", true);  // any reload attempt would fail loudly
   OlapQuery query;
   query.aggregations = {OlapAggregation::Count("n")};
   query.filters = {FilterPredicate::Eq("ride_id", Value(int64_t{999999999}))};
@@ -235,7 +237,7 @@ TEST_F(OlapTieringTest, PruningNeverMaterializesDemotedSegments) {
   EXPECT_EQ(result.value().stats.segments_cold, 0);
   EXPECT_EQ(result.value().stats.columns_materialized, 0);
   EXPECT_GT(result.value().stats.segments_pruned, 0);
-  store_->SetAvailable(true);
+  store_faults_.SetDown("store", false);
 }
 
 // warm -> cold eviction requires a durable blob: while the store is down
@@ -248,7 +250,7 @@ TEST_F(OlapTieringTest, ColdEvictionRequiresDurableBlob) {
   ASSERT_TRUE(cluster_->ForceSeal("rides_t").ok());
   ASSERT_TRUE(cluster_->lifecycle()->ApplyTierTargets(0, 1 << 20).ok());
 
-  store_->SetAvailable(false);
+  store_faults_.SetDown("store", true);
   EXPECT_FALSE(cluster_->lifecycle()->ApplyTierTargets(0, 0).ok());
   EXPECT_GT(cluster_->metrics()->GetGauge("olap.tier.warm_bytes")->value(), 0);
   OlapQuery query;
@@ -257,7 +259,7 @@ TEST_F(OlapTieringTest, ColdEvictionRequiresDurableBlob) {
   ASSERT_TRUE(during.ok()) << during.status().ToString();
   EXPECT_EQ(during.value().rows[0][0].AsInt(), 200);
 
-  store_->SetAvailable(true);
+  store_faults_.SetDown("store", false);
   ASSERT_TRUE(cluster_->lifecycle()->ApplyTierTargets(0, 0).ok());
   EXPECT_GT(cluster_->metrics()->GetGauge("olap.tier.cold_bytes")->value(), 0);
   Result<OlapResult> after = cluster_->Query("rides_t", query);

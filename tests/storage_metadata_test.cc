@@ -68,16 +68,6 @@ TEST(ObjectStoreTest, OutageFailsEveryOperation) {
   EXPECT_EQ(store.Get("k").value(), "v");
 }
 
-// The legacy toggle stays as a thin compat shim over the same error path.
-TEST(ObjectStoreTest, SetAvailableShimStillWorks) {
-  InMemoryObjectStore store;
-  store.Put("k", "v").ok();
-  store.SetAvailable(false);
-  EXPECT_TRUE(store.Get("k").status().IsUnavailable());
-  store.SetAvailable(true);
-  EXPECT_EQ(store.Get("k").value(), "v");
-}
-
 TEST(ArchiveTest, BatchesReadBackInOrder) {
   InMemoryObjectStore store;
   RowSchema schema({{"id", ValueType::kInt}, {"v", ValueType::kDouble}});

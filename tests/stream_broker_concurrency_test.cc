@@ -17,6 +17,8 @@
 #include "stream/federation.h"
 #include "stream/ureplicator.h"
 
+#include "copy_all.h"
+
 namespace uberrt::stream {
 namespace {
 
@@ -49,9 +51,12 @@ TEST(BrokerConcurrencyTest, DeleteTopicWhileFetchAndProduceInFlight) {
 
   std::thread fetcher([&] {
     while (!stop.load()) {
-      Result<std::vector<Message>> batch = broker.Fetch("t", 0, 0, 64);
-      // Valid outcomes: data, empty, NotFound (deleted), OutOfRange.
-      if (batch.ok()) fetches.fetch_add(1);
+      Result<FetchedBatch> batch = broker.FetchViews("t", 0, 0, 64);
+      // Valid outcomes: data, empty, NotFound (deleted), OutOfRange. Copying
+      // reads every borrowed byte while the topic is deleted underneath.
+      if (batch.ok() && CopyAll(batch.value()).size() == batch.value().size()) {
+        fetches.fetch_add(1);
+      }
     }
   });
   std::thread producer([&] {
@@ -59,11 +64,14 @@ TEST(BrokerConcurrencyTest, DeleteTopicWhileFetchAndProduceInFlight) {
       if (broker.Produce("t", Msg("", "v")).ok()) produces.fetch_add(1);
     }
   });
+  wire::BatchBuilder stray_builder;
+  stray_builder.Add(Msg("", "x"));
+  const wire::EncodedBatch stray = stray_builder.Finish();
   std::thread offsets([&] {
     while (!stop.load()) {
       broker.BeginOffset("t", 0).ok();
       broker.EndOffset("t", 1).ok();
-      broker.Replicate("t", Msg("", "x")).ok();  // bad offset, still must not crash
+      broker.Replicate("t", 0, 0, stray).ok();  // stale offset, still must not crash
     }
   });
 
@@ -161,7 +169,7 @@ TEST(BrokerConcurrencyTest, RebalanceLoopWithAvailabilityFlips) {
         Consumer consumer(&broker, "g", "t", member);
         if (!consumer.Subscribe().ok()) continue;
         for (int i = 0; i < 10 && !stop.load(); ++i) {
-          Result<std::vector<Message>> batch = consumer.Poll(16);
+          Result<FetchedBatch> batch = consumer.PollViews(16);
           if (batch.ok() && !batch.value().empty()) consumer.Commit().ok();
           broker.GetAssignment("g", "t", member).ok();
           broker.GroupGeneration("g", "t");
@@ -222,8 +230,8 @@ TEST(BrokerConcurrencyTest, FullStressSoak) {
   threads.emplace_back([&broker, &stop] {  // fetcher over both topics
     while (!stop.load()) {
       for (int p = 0; p < 4; ++p) {
-        broker.Fetch("stable", p, 0, 32).ok();
-        broker.Fetch("churn", p, 0, 32).ok();
+        broker.FetchViews("stable", p, 0, 32).ok();
+        broker.FetchViews("churn", p, 0, 32).ok();
       }
       broker.ConsumerLag("g", "stable").ok();
     }
@@ -260,7 +268,7 @@ TEST(FederationConcurrencyTest, ProduceDuringAvailabilityFlapAndFailover) {
     producers.emplace_back([&] {
       while (!stop.load()) {
         if (federation.Produce("t", Msg("k", "v")).ok()) produced.fetch_add(1);
-        federation.Fetch("t", 0, 0, 16).ok();
+        federation.FetchViews("t", 0, 0, 16).ok();
         federation.ConsumerLag("g", "t").ok();
       }
     });

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/fault_injector.h"
 #include "stream/consumer.h"
 #include "stream/federation.h"
 
@@ -55,10 +56,10 @@ TEST_F(FederationTest, TransparentRouting) {
   ASSERT_TRUE(federation_.CreateTopic("t", config).ok());
   Result<ProduceResult> produced = federation_.Produce("t", Msg("k", "v1"));
   ASSERT_TRUE(produced.ok());
-  Result<std::vector<Message>> fetched = federation_.Fetch("t", 0, 0, 10);
+  Result<FetchedBatch> fetched = federation_.FetchViews("t", 0, 0, 10);
   ASSERT_TRUE(fetched.ok());
   ASSERT_EQ(fetched.value().size(), 1u);
-  EXPECT_EQ(fetched.value()[0].value, "v1");
+  EXPECT_EQ(fetched.value().messages[0].value, "v1");
 }
 
 TEST_F(FederationTest, ProduceFailsOverWhenHostClusterDies) {
@@ -72,7 +73,7 @@ TEST_F(FederationTest, ProduceFailsOverWhenHostClusterDies) {
   ASSERT_TRUE(produced.ok()) << produced.status().ToString();
   std::string new_host = federation_.HostingCluster("t").value();
   EXPECT_NE(new_host, host);
-  EXPECT_EQ(federation_.Fetch("t", 0, 0, 10).value().size(), 1u);
+  EXPECT_EQ(federation_.FetchViews("t", 0, 0, 10).value().size(), 1u);
 }
 
 TEST_F(FederationTest, LiveConsumerSurvivesTopicMigration) {
@@ -84,7 +85,7 @@ TEST_F(FederationTest, LiveConsumerSurvivesTopicMigration) {
   }
   Consumer consumer(&federation_, "g", "t", "m1");
   ASSERT_TRUE(consumer.Subscribe().ok());
-  EXPECT_EQ(consumer.Poll(5).value().size(), 5u);
+  EXPECT_EQ(consumer.PollViews(5).value().size(), 5u);
   ASSERT_TRUE(consumer.Commit().ok());
 
   // Migrate the topic to the other cluster while the consumer is live.
@@ -97,13 +98,13 @@ TEST_F(FederationTest, LiveConsumerSurvivesTopicMigration) {
   // preserved by the migration copy.
   size_t got = 0;
   for (int i = 0; i < 10 && got < 5; ++i) {
-    got += consumer.Poll(10).value().size();
+    got += consumer.PollViews(10).value().size();
   }
   EXPECT_EQ(got, 5u);
 
   // New data lands on the new cluster and still flows.
   federation_.Produce("t", Msg("kx", "fresh")).ok();
-  EXPECT_EQ(consumer.Poll(10).value().size(), 1u);
+  EXPECT_EQ(consumer.PollViews(10).value().size(), 1u);
 }
 
 TEST_F(FederationTest, GroupStateSurvivesMigration) {
@@ -118,6 +119,74 @@ TEST_F(FederationTest, GroupStateSurvivesMigration) {
   // cluster, so they survive.
   EXPECT_EQ(federation_.CommittedOffset("g", "t", 0).value(), 4);
   EXPECT_EQ(federation_.ConsumerLag("g", "t").value(), 2);
+}
+
+TEST_F(FederationTest, MigratesTopicTruncatedByRetention) {
+  // Regression: the copy used to replay from offset 0 onto the target, so a
+  // partition whose front retention had truncated failed with an offset gap
+  // and left the half-created topic behind on the target.
+  TopicConfig config;
+  config.num_partitions = 1;
+  config.retention.max_bytes = 200;
+  ASSERT_TRUE(federation_.CreateTopic("t", config).ok());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(federation_.Produce("t", Msg("", std::string(40, 'a' + i % 26))).ok());
+  }
+  std::string host = federation_.HostingCluster("t").value();
+  federation_.GetCluster(host).value()->ApplyRetention();
+  const int64_t begin = federation_.BeginOffset("t", 0).value();
+  const int64_t end = federation_.EndOffset("t", 0).value();
+  ASSERT_GT(begin, 0);
+  ASSERT_EQ(end, 20);
+
+  Consumer consumer(&federation_, "g", "t", "m1");
+  ASSERT_TRUE(consumer.Subscribe().ok());
+  ASSERT_EQ(consumer.PollViews(1).value().size(), 1u);  // reads `begin`
+  ASSERT_TRUE(consumer.Commit().ok());
+
+  std::string target = host == "c1" ? "c2" : "c1";
+  Status migrated = federation_.MigrateTopic("t", target);
+  ASSERT_TRUE(migrated.ok()) << migrated.ToString();
+  EXPECT_EQ(federation_.HostingCluster("t").value(), target);
+  EXPECT_EQ(federation_.BeginOffset("t", 0).value(), begin);
+  EXPECT_EQ(federation_.EndOffset("t", 0).value(), end);
+
+  // A fresh group member resumes from the committed offset on the target.
+  ASSERT_TRUE(consumer.Close().ok());
+  Consumer resumed(&federation_, "g", "t", "m2");
+  ASSERT_TRUE(resumed.Subscribe().ok());
+  Result<FetchedBatch> rest = resumed.PollViews(100);
+  ASSERT_TRUE(rest.ok());
+  ASSERT_EQ(rest.value().size(), static_cast<size_t>(end - begin - 1));
+  EXPECT_EQ(rest.value().messages.front().offset, begin + 1);
+  EXPECT_EQ(rest.value().messages.back().value, std::string(40, 'a' + 19));
+}
+
+TEST_F(FederationTest, FailedMigrationLeavesNoTopicOnTarget) {
+  TopicConfig config;
+  config.num_partitions = 2;
+  ASSERT_TRUE(federation_.CreateTopic("t", config).ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(federation_.Produce("t", Msg("k" + std::to_string(i), "v")).ok());
+  }
+  std::string host = federation_.HostingCluster("t").value();
+  std::string target = host == "c1" ? "c2" : "c1";
+  common::FaultInjector faults;
+  federation_.GetCluster(host).value()->SetFaultInjector(&faults);
+  faults.SetDown("broker.fetch." + host, true);
+
+  EXPECT_TRUE(federation_.MigrateTopic("t", target).IsUnavailable());
+  EXPECT_FALSE(federation_.GetCluster(target).value()->HasTopic("t"));
+  EXPECT_EQ(federation_.HostingCluster("t").value(), host);
+
+  // Once the fault clears, a retry succeeds instead of hitting AlreadyExists.
+  faults.SetDown("broker.fetch." + host, false);
+  Status retried = federation_.MigrateTopic("t", target);
+  ASSERT_TRUE(retried.ok()) << retried.ToString();
+  EXPECT_EQ(federation_.HostingCluster("t").value(), target);
+  EXPECT_EQ(federation_.EndOffset("t", 0).value() + federation_.EndOffset("t", 1).value(),
+            10);
+  federation_.GetCluster(host).value()->SetFaultInjector(nullptr);
 }
 
 }  // namespace

@@ -138,18 +138,38 @@ TEST(StreamLogTest, OffsetContinuityAcrossTruncation) {
   EXPECT_EQ(log.Append(Msg("", "next")), 10);
 }
 
-TEST(StreamLogTest, AppendWithOffsetRejectsGaps) {
+TEST(StreamLogTest, AppendBatchAtRejectsGaps) {
   PartitionLog log;
-  Message m = Msg("", "a");
-  m.offset = 0;
-  ASSERT_TRUE(log.AppendWithOffset(m).ok());
-  Message gap = Msg("", "b");
-  gap.offset = 5;  // skips 1..4
-  EXPECT_EQ(log.AppendWithOffset(gap).code(), StatusCode::kInvalidArgument);
-  Message stale = Msg("", "c");
-  stale.offset = 0;  // already taken
-  EXPECT_EQ(log.AppendWithOffset(stale).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(log.EndOffset(), 1);
+  ASSERT_TRUE(log.AppendBatchAt(Batch({Msg("", "a"), Msg("", "b")}), 0).ok());
+  // Skips 2..4 on a non-empty log.
+  EXPECT_EQ(log.AppendBatchAt(Batch({Msg("", "c")}), 5).code(),
+            StatusCode::kInvalidArgument);
+  // Already taken.
+  EXPECT_EQ(log.AppendBatchAt(Batch({Msg("", "c")}), 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(log.EndOffset(), 2);
+  ASSERT_TRUE(log.AppendBatchAt(Batch({Msg("", "c")}), 2).ok());
+  EXPECT_EQ(log.ReadViews(2, 1).value().messages[0].value, "c");
+}
+
+TEST(StreamLogTest, AppendBatchAtStartsEmptyLogAtLaterOffset) {
+  // An empty log takes the first copied batch at the source's log start
+  // offset (a source truncated by retention), never an earlier one.
+  PartitionLog log;
+  ASSERT_TRUE(log.AppendBatchAt(Batch({Msg("", "r18"), Msg("", "r19")}), 18).ok());
+  EXPECT_EQ(log.BeginOffset(), 18);
+  EXPECT_EQ(log.EndOffset(), 20);
+  EXPECT_EQ(log.ReadViews(19, 1).value().messages[0].value, "r19");
+  EXPECT_TRUE(log.ReadViews(0, 1).status().code() == StatusCode::kOutOfRange);
+  EXPECT_EQ(log.Append(Msg("", "next")), 20);
+  PartitionLog advanced;
+  advanced.Append(Msg("", "a"));
+  RetentionPolicy expire_all;
+  expire_all.max_age_ms = 1;
+  advanced.ApplyRetention(expire_all, /*now=*/1'000'000);
+  ASSERT_EQ(advanced.BeginOffset(), 1);
+  EXPECT_EQ(advanced.AppendBatchAt(Batch({Msg("", "b")}), 0).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(StreamLogTest, ViewsSurviveRetentionViaPins) {

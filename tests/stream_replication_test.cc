@@ -4,6 +4,8 @@
 #include "stream/chaperone.h"
 #include "stream/ureplicator.h"
 
+#include "copy_all.h"
+
 namespace uberrt::stream {
 namespace {
 
@@ -43,12 +45,13 @@ TEST_F(UReplicatorTest, ReplicatesAllMessagesInPartitionOrder) {
   EXPECT_EQ(replicator.TotalLag().value(), 0);
   // Destination created with same partition count; per-partition order kept.
   EXPECT_EQ(destination_->NumPartitions("t").value(), 8);
-  Result<std::vector<Message>> p0 = destination_->Fetch("t", 0, 0, 100);
+  Result<FetchedBatch> p0 = destination_->FetchViews("t", 0, 0, 100);
   ASSERT_TRUE(p0.ok());
-  for (size_t i = 1; i < p0.value().size(); ++i) {
+  const std::vector<Message> arrived = CopyAll(p0.value());
+  for (size_t i = 1; i < arrived.size(); ++i) {
     // Values v0, v8, v16... arrive in source order.
-    EXPECT_LT(std::stoi(p0.value()[i - 1].value.substr(1)),
-              std::stoi(p0.value()[i].value.substr(1)));
+    EXPECT_LT(std::stoi(arrived[i - 1].value.substr(1)),
+              std::stoi(arrived[i].value.substr(1)));
   }
 }
 
@@ -205,9 +208,9 @@ TEST(ChaperoneTest, EndToEndThroughReplication) {
   // Downstream stage records what actually arrived, minus 2 "lost" ones.
   int skipped = 0;
   for (int32_t p = 0; p < 2; ++p) {
-    Result<std::vector<Message>> arrived = destination.Fetch("t", p, 0, 100);
+    Result<FetchedBatch> arrived = destination.FetchViews("t", p, 0, 100);
     ASSERT_TRUE(arrived.ok());
-    for (const Message& m : arrived.value()) {
+    for (const Message& m : CopyAll(arrived.value())) {
       if (skipped < 2 && m.headers.at(kHeaderUid) == "uid" + std::to_string(p)) {
         ++skipped;  // simulate loss of two specific messages
         continue;

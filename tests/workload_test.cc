@@ -58,12 +58,14 @@ TEST(TripGeneratorTest, NoiseInjectsLateDuplicateAndCorrupt) {
   std::set<std::string> uids;
   int64_t dupes = 0;
   for (int32_t p = 0; p < 2; ++p) {
-    Result<std::vector<stream::Message>> batch = broker.Fetch("trips", p, 0, 10'000);
+    Result<stream::FetchedBatch> batch = broker.FetchViews("trips", p, 0, 10'000);
     ASSERT_TRUE(batch.ok());
-    for (const stream::Message& m : batch.value()) {
+    for (const stream::wire::MessageView& m : batch.value().messages) {
       ++total;
       if (!DecodeRow(m.value).ok()) ++corrupt;
-      if (!uids.insert(m.headers.at(stream::kHeaderUid)).second) ++dupes;
+      std::string_view uid;
+      ASSERT_TRUE(m.GetHeader(stream::kHeaderUid, &uid));
+      if (!uids.emplace(uid).second) ++dupes;
     }
   }
   EXPECT_EQ(total, produced.value());
