@@ -214,18 +214,34 @@ Result<ProduceResult> Broker::ProduceBatch(const std::string& topic, int32_t par
   return result;
 }
 
-Status Broker::Replicate(const std::string& topic, int32_t partition,
-                         int64_t base_offset, const wire::EncodedBatch& batch) {
+Result<PartitionLog*> Broker::ReplicaLog(const std::string& topic, int32_t partition,
+                                         std::shared_ptr<Topic>* holder) const {
   Result<std::shared_ptr<Topic>> found = FindTopic(topic);
   if (!found.ok()) return found.status();
-  std::shared_ptr<Topic> t = std::move(found.value());
+  *holder = std::move(found.value());
   if (!available_.load(std::memory_order_acquire)) {
     return Status::Unavailable("cluster " + name_ + " down");
   }
-  if (partition < 0 || partition >= static_cast<int32_t>(t->partitions.size())) {
+  if (partition < 0 || partition >= static_cast<int32_t>((*holder)->partitions.size())) {
     return Status::InvalidArgument("replicate: bad partition");
   }
-  return t->partitions[static_cast<size_t>(partition)]->AppendBatchAt(batch, base_offset);
+  return (*holder)->partitions[static_cast<size_t>(partition)].get();
+}
+
+Status Broker::Replicate(const std::string& topic, int32_t partition,
+                         int64_t base_offset, const wire::EncodedBatch& batch) {
+  std::shared_ptr<Topic> holder;
+  Result<PartitionLog*> log = ReplicaLog(topic, partition, &holder);
+  if (!log.ok()) return log.status();
+  return log.value()->AppendBatchAt(batch, base_offset);
+}
+
+Status Broker::ReplicateStartOffset(const std::string& topic, int32_t partition,
+                                    int64_t start_offset) {
+  std::shared_ptr<Topic> holder;
+  Result<PartitionLog*> log = ReplicaLog(topic, partition, &holder);
+  if (!log.ok()) return log.status();
+  return log.value()->StartAt(start_offset);
 }
 
 Result<FetchedBatch> Broker::FetchViews(const std::string& topic, int32_t partition,

@@ -90,11 +90,15 @@ class Broker : public MessageBus {
                                      const wire::EncodedBatch& batch,
                                      AckMode ack = AckMode::kLeader) override;
 
-  /// Appends a batch whose first record lands at `base_offset` in
-  /// `partition` (offset-preserving federated topic migration; see
-  /// PartitionLog::AppendBatchAt). Exempt from admission and the fault plane.
+  /// Offset-preserving replication (federated topic migration), exempt
+  /// from admission and the fault plane. Replicate appends a batch whose
+  /// first record lands at `base_offset` in `partition`
+  /// (PartitionLog::AppendBatchAt); ReplicateStartOffset moves an empty
+  /// partition's log start offset to the source's (PartitionLog::StartAt).
   Status Replicate(const std::string& topic, int32_t partition, int64_t base_offset,
                    const wire::EncodedBatch& batch);
+  Status ReplicateStartOffset(const std::string& topic, int32_t partition,
+                              int64_t start_offset);
 
   /// Zero-copy batch fetch: borrowed views into the partition log's arena
   /// segments, no per-message allocation (see FetchedBatch lifetime rules).
@@ -177,6 +181,10 @@ class Broker : public MessageBus {
 
   /// Looks up the topic under `topics_mu_` and returns an owning reference.
   Result<std::shared_ptr<Topic>> FindTopic(const std::string& topic) const;
+  /// The target log of a Replicate* call: NotFound, Unavailable while the
+  /// cluster is down, InvalidArgument on a bad partition.
+  Result<PartitionLog*> ReplicaLog(const std::string& topic, int32_t partition,
+                                   std::shared_ptr<Topic>* holder) const;
   void SpinCoordinationWork(AckMode ack) const;
 
   std::string name_;

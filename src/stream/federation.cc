@@ -29,6 +29,11 @@ Status CopyTopic(const Broker& source, Broker* target, const std::string& topic)
     if (!begin.ok()) return begin.status();
     if (!end.ok()) return end.status();
     int64_t offset = begin.value();
+    // A source truncated by retention (possibly to empty) keeps its log
+    // start offset, so offsets consumers committed past are never reused.
+    if (offset > 0) {
+      UBERRT_RETURN_IF_ERROR(target->ReplicateStartOffset(topic, p, offset));
+    }
     while (offset < end.value()) {
       Result<FetchedBatch> batch = source.FetchViews(topic, p, offset, 1024);
       if (!batch.ok()) return batch.status();

@@ -63,13 +63,24 @@ Status PartitionLog::AppendBatchAt(const wire::EncodedBatch& batch,
                                    int64_t base_offset) {
   UBERRT_RETURN_IF_ERROR(CheckBatch(batch));
   std::lock_guard<std::mutex> lock(mu_);
-  const bool empty = begin_offset_ == end_offset_;
-  if (base_offset != end_offset_ && !(empty && base_offset > end_offset_)) {
+  if (base_offset != end_offset_) {
     return Status::InvalidArgument("offset gap: expected " + std::to_string(end_offset_) +
                                    " got " + std::to_string(base_offset));
   }
-  begin_offset_ = end_offset_ = base_offset;
   AppendBatchLocked(batch);
+  return Status::Ok();
+}
+
+Status PartitionLog::StartAt(int64_t offset) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (begin_offset_ != end_offset_) {
+    return Status::FailedPrecondition("start offset moves only on an empty log");
+  }
+  if (offset < end_offset_) {
+    return Status::InvalidArgument("start offset " + std::to_string(offset) +
+                                   " below end offset " + std::to_string(end_offset_));
+  }
+  begin_offset_ = end_offset_ = offset;
   return Status::Ok();
 }
 

@@ -98,11 +98,16 @@ class PartitionLog {
 
   /// Appends a sealed batch whose first record must land at `base_offset`
   /// (offset-preserving copies such as federated topic migration).
-  /// `base_offset` must equal the end offset, except that an empty log may
-  /// start at any later offset — its begin offset moves there, as a Kafka
-  /// log start offset does — so a source truncated by retention copies
-  /// with its offsets intact. InvalidArgument on a gap; nothing appended.
+  /// `base_offset` must equal the end offset: InvalidArgument on a gap or an
+  /// overlap, and nothing is appended.
   Status AppendBatchAt(const wire::EncodedBatch& batch, int64_t base_offset);
+
+  /// Moves an empty log's begin and end offset forward to `offset`, as a
+  /// Kafka log start offset moves, so the next append lands there. An
+  /// offset-preserving copy of a source that retention has truncated starts
+  /// here. FailedPrecondition if the log holds records, InvalidArgument if
+  /// `offset` is below the end offset.
+  Status StartAt(int64_t offset);
 
   /// Reads up to `max_messages` borrowed views starting at `offset`, with
   /// zero per-message allocation. OutOfRange if offset is below the begin

@@ -72,6 +72,7 @@ TEST(BrokerConcurrencyTest, DeleteTopicWhileFetchAndProduceInFlight) {
       broker.BeginOffset("t", 0).ok();
       broker.EndOffset("t", 1).ok();
       broker.Replicate("t", 0, 0, stray).ok();  // stale offset, still must not crash
+      broker.ReplicateStartOffset("t", 1, 0).ok();
     }
   });
 

@@ -133,6 +133,7 @@ TEST_F(BrokerTest, MissingTopicIsNotFoundEvenWhenUnavailable) {
   wire::BatchBuilder builder;
   builder.Add(Msg("k", "v"));
   EXPECT_TRUE(broker_->Replicate("ghost", 0, 0, builder.Finish()).IsNotFound());
+  EXPECT_TRUE(broker_->ReplicateStartOffset("ghost", 0, 5).IsNotFound());
   // Existing topics keep the availability semantics.
   EXPECT_TRUE(broker_->Produce("t", Msg("k", "v")).status().IsUnavailable());
   broker_->SetAvailable(true);

@@ -160,6 +160,74 @@ TEST_F(FederationTest, MigratesTopicTruncatedByRetention) {
   ASSERT_EQ(rest.value().size(), static_cast<size_t>(end - begin - 1));
   EXPECT_EQ(rest.value().messages.front().offset, begin + 1);
   EXPECT_EQ(rest.value().messages.back().value, std::string(40, 'a' + 19));
+
+  // A partition that age retention emptied entirely keeps its offsets too:
+  // new produces continue past what consumers already committed.
+  TopicConfig expiring;
+  expiring.num_partitions = 1;
+  expiring.retention.max_age_ms = 1;
+  ASSERT_TRUE(federation_.CreateTopic("gone", expiring).ok());
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(federation_.Produce("gone", Msg("", "old")).ok());
+  ASSERT_TRUE(federation_.CommitOffset("g", "gone", 0, 5).ok());
+  std::string gone_host = federation_.HostingCluster("gone").value();
+  federation_.GetCluster(gone_host).value()->ApplyRetention();
+  ASSERT_EQ(federation_.BeginOffset("gone", 0).value(), 5);
+  ASSERT_TRUE(federation_.MigrateTopic("gone", gone_host == "c1" ? "c2" : "c1").ok());
+  EXPECT_EQ(federation_.BeginOffset("gone", 0).value(), 5);
+  EXPECT_EQ(federation_.EndOffset("gone", 0).value(), 5);
+  EXPECT_EQ(federation_.ConsumerLag("g", "gone").value(), 0);
+  Result<ProduceResult> fresh = federation_.Produce("gone", Msg("", "new"));
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh.value().offset, 5);
+  EXPECT_EQ(federation_.ConsumerLag("g", "gone").value(), 1);
+}
+
+TEST_F(FederationTest, MigratesPartitionsLargerThanOneCopyBatch) {
+  // The copy re-appends one batch per 1024-record fetch; later batches must
+  // extend the target log, never move its begin offset.
+  TopicConfig config;
+  config.num_partitions = 2;
+  ASSERT_TRUE(federation_.CreateTopic("t", config).ok());
+  constexpr int kPerPartition = 2500;
+  for (int32_t p = 0; p < 2; ++p) {
+    for (int i = 0; i < kPerPartition; ++i) {
+      Message m = Msg("", "p" + std::to_string(p) + "-" + std::to_string(i));
+      m.partition = p;
+      ASSERT_TRUE(federation_.Produce("t", m).ok());
+    }
+  }
+  ASSERT_EQ(federation_.EndOffset("t", 0).value(), kPerPartition);
+  ASSERT_EQ(federation_.EndOffset("t", 1).value(), kPerPartition);
+  ASSERT_TRUE(federation_.CommitOffset("g", "t", 0, 100).ok());
+  ASSERT_TRUE(federation_.CommitOffset("g", "t", 1, 2000).ok());
+
+  std::string host = federation_.HostingCluster("t").value();
+  ASSERT_TRUE(federation_.MigrateTopic("t", host == "c1" ? "c2" : "c1").ok());
+  for (int32_t p = 0; p < 2; ++p) {
+    EXPECT_EQ(federation_.BeginOffset("t", p).value(), 0);
+    EXPECT_EQ(federation_.EndOffset("t", p).value(), kPerPartition);
+    Result<FetchedBatch> first = federation_.FetchViews("t", p, 0, 1);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_EQ(first.value().messages[0].value, "p" + std::to_string(p) + "-0");
+  }
+
+  // A member resuming from the committed offsets reads every remaining
+  // record once, in order, with no jump.
+  Consumer resumed(&federation_, "g", "t", "m1");
+  ASSERT_TRUE(resumed.Subscribe().ok());
+  std::vector<int64_t> next = {100, 2000};
+  size_t got = 0;
+  for (int round = 0; round < 100; ++round) {
+    Result<FetchedBatch> batch = resumed.PollViews(512);
+    ASSERT_TRUE(batch.ok());
+    if (batch.value().empty()) break;
+    for (const wire::MessageView& v : batch.value().messages) {
+      ASSERT_EQ(v.offset, next[static_cast<size_t>(v.partition)]++);
+      EXPECT_EQ(v.value, "p" + std::to_string(v.partition) + "-" + std::to_string(v.offset));
+      ++got;
+    }
+  }
+  EXPECT_EQ(got, static_cast<size_t>(2 * kPerPartition - 100 - 2000));
 }
 
 TEST_F(FederationTest, FailedMigrationLeavesNoTopicOnTarget) {

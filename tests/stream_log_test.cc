@@ -149,27 +149,47 @@ TEST(StreamLogTest, AppendBatchAtRejectsGaps) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(log.EndOffset(), 2);
   ASSERT_TRUE(log.AppendBatchAt(Batch({Msg("", "c")}), 2).ok());
-  EXPECT_EQ(log.ReadViews(2, 1).value().messages[0].value, "c");
+  // Later appends never move the begin offset: every record stays readable.
+  EXPECT_EQ(log.BeginOffset(), 0);
+  EXPECT_EQ(log.Size(), 3);
+  Result<FetchedBatch> all = log.ReadViews(0, 3);
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all.value().size(), 3u);
+  EXPECT_EQ(all.value().messages[0].value, "a");
+  EXPECT_EQ(all.value().messages[2].value, "c");
+  // An empty log takes no gap either: a later start goes through StartAt.
+  PartitionLog empty;
+  EXPECT_EQ(empty.AppendBatchAt(Batch({Msg("", "x")}), 3).code(),
+            StatusCode::kInvalidArgument);
 }
 
-TEST(StreamLogTest, AppendBatchAtStartsEmptyLogAtLaterOffset) {
-  // An empty log takes the first copied batch at the source's log start
-  // offset (a source truncated by retention), never an earlier one.
+TEST(StreamLogTest, StartAtMovesEmptyLogStartOffset) {
+  // An empty log starts at the source's log start offset (a source
+  // truncated by retention), never an earlier one.
   PartitionLog log;
-  ASSERT_TRUE(log.AppendBatchAt(Batch({Msg("", "r18"), Msg("", "r19")}), 18).ok());
+  ASSERT_TRUE(log.StartAt(18).ok());
   EXPECT_EQ(log.BeginOffset(), 18);
-  EXPECT_EQ(log.EndOffset(), 20);
+  EXPECT_EQ(log.EndOffset(), 18);
+  ASSERT_TRUE(log.AppendBatchAt(Batch({Msg("", "r18"), Msg("", "r19")}), 18).ok());
+  ASSERT_TRUE(log.AppendBatchAt(Batch({Msg("", "r20")}), 20).ok());
+  EXPECT_EQ(log.BeginOffset(), 18);
+  EXPECT_EQ(log.EndOffset(), 21);
   EXPECT_EQ(log.ReadViews(19, 1).value().messages[0].value, "r19");
   EXPECT_TRUE(log.ReadViews(0, 1).status().code() == StatusCode::kOutOfRange);
-  EXPECT_EQ(log.Append(Msg("", "next")), 20);
+  EXPECT_EQ(log.Append(Msg("", "next")), 21);
+  // Only an empty log moves.
+  EXPECT_EQ(log.StartAt(30).code(), StatusCode::kFailedPrecondition);
   PartitionLog advanced;
   advanced.Append(Msg("", "a"));
   RetentionPolicy expire_all;
   expire_all.max_age_ms = 1;
   advanced.ApplyRetention(expire_all, /*now=*/1'000'000);
   ASSERT_EQ(advanced.BeginOffset(), 1);
+  EXPECT_EQ(advanced.StartAt(0).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(advanced.AppendBatchAt(Batch({Msg("", "b")}), 0).code(),
             StatusCode::kInvalidArgument);
+  ASSERT_TRUE(advanced.StartAt(1).ok());  // no-op at the current offset
+  EXPECT_EQ(advanced.EndOffset(), 1);
 }
 
 TEST(StreamLogTest, ViewsSurviveRetentionViaPins) {
