@@ -27,7 +27,7 @@ cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
 
-CONCURRENCY_SUITES="common_executor_test|stream_log_test|stream_broker_concurrency_test|olap_cluster_concurrency_test|chaos_soak_test|olap_vectorized_parity_test|olap_morsel_parity_test|olap_upsert_recovery_test|olap_tiering_test|allactive_drill_test|compute_batch_parity_test|stream_federation_test|stream_dlq_proxy_test"
+CONCURRENCY_SUITES="common_executor_test|stream_log_test|stream_broker_concurrency_test|olap_cluster_concurrency_test|chaos_soak_test|olap_vectorized_parity_test|olap_morsel_parity_test|olap_upsert_recovery_test|olap_tiering_test|allactive_drill_test|compute_batch_parity_test|stream_federation_test|stream_dlq_proxy_test|olap_segment_test|olap_table_test"
 for SAN in address thread; do
   echo "== sanitizer gate: ${SAN} =="
   cmake -B "build-${SAN}" -S . -DUBERRT_SANITIZE="${SAN}"
@@ -36,7 +36,7 @@ for SAN in address thread; do
     olap_cluster_concurrency_test chaos_soak_test olap_vectorized_parity_test \
     olap_morsel_parity_test olap_upsert_recovery_test olap_tiering_test \
     allactive_drill_test compute_batch_parity_test stream_federation_test \
-    stream_dlq_proxy_test
+    stream_dlq_proxy_test olap_segment_test olap_table_test
   ctest --test-dir "build-${SAN}" --output-on-failure -R "^(${CONCURRENCY_SUITES})$"
 done
 

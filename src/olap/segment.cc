@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <mutex>
+#include <numeric>
 #include <set>
 
 #include "common/hash.h"
@@ -83,20 +85,6 @@ void AppendU32BE(std::string* out, uint32_t v) {
   char buf[4] = {static_cast<char>(v >> 24), static_cast<char>(v >> 16),
                  static_cast<char>(v >> 8), static_cast<char>(v)};
   out->append(buf, 4);
-}
-
-uint32_t ReadU32BE(const char* p) {
-  return (static_cast<uint32_t>(static_cast<unsigned char>(p[0])) << 24) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 16) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 8) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3]));
-}
-
-std::string EncodeIdTuple(const std::vector<uint32_t>& ids, size_t count) {
-  std::string key;
-  key.reserve(count * 4);
-  for (size_t i = 0; i < count; ++i) AppendU32BE(&key, ids[i]);
-  return key;
 }
 
 }  // namespace
@@ -334,58 +322,53 @@ void Segment::BuildIndexes(const SegmentIndexConfig& config) {
     if (idx >= 0) star_metrics_.push_back(idx);
   }
   star_tree_.clear();
-  star_root_ = StarTreeCell{};
   if (star_dims_.empty()) return;
-  star_tree_.resize(star_dims_.size());
-  size_t num_metrics = star_metrics_.size();
-  star_root_.sum.assign(num_metrics, 0);
-  star_root_.min.assign(num_metrics, 0);
-  star_root_.max.assign(num_metrics, 0);
-  std::vector<std::vector<uint32_t>> dim_ids(
-      star_dims_.size(), std::vector<uint32_t>(batch.size()));
-  std::vector<std::vector<uint32_t>> metric_ids(
-      num_metrics, std::vector<uint32_t>(batch.size()));
-  std::vector<uint32_t> ids(star_dims_.size());
-  std::vector<double> metric_values(num_metrics);
-  for (size_t base = 0; base < num_rows_; base += kBatch) {
-    size_t count = std::min(kBatch, num_rows_ - base);
-    for (size_t d = 0; d < star_dims_.size(); ++d) {
-      columns_[static_cast<size_t>(star_dims_[d])].UnpackRange(base, count,
-                                                              dim_ids[d].data());
-    }
-    for (size_t m = 0; m < num_metrics; ++m) {
-      columns_[static_cast<size_t>(star_metrics_[m])].UnpackRange(
-          base, count, metric_ids[m].data());
-    }
-    for (size_t i = 0; i < count; ++i) {
-      for (size_t d = 0; d < star_dims_.size(); ++d) ids[d] = dim_ids[d][i];
-      for (size_t m = 0; m < num_metrics; ++m) {
-        const Column& mc = columns_[static_cast<size_t>(star_metrics_[m])];
-        metric_values[m] = mc.dict_numeric[metric_ids[m][i]];
+  const size_t dims = star_dims_.size();
+  const size_t stride = 1 + star_metrics_.size();
+  std::vector<std::vector<uint32_t>> dim_ids(dims, std::vector<uint32_t>(num_rows_));
+  for (size_t d = 0; d < dims; ++d) {
+    columns_[static_cast<size_t>(star_dims_[d])].UnpackRange(0, num_rows_,
+                                                            dim_ids[d].data());
+  }
+  std::vector<std::vector<double>> metric_values(star_metrics_.size());
+  for (size_t m = 0; m < star_metrics_.size(); ++m) {
+    const Column& mc = columns_[static_cast<size_t>(star_metrics_[m])];
+    std::vector<uint32_t> ids(num_rows_);
+    mc.UnpackRange(0, num_rows_, ids.data());
+    metric_values[m].reserve(num_rows_);
+    for (uint32_t id : ids) metric_values[m].push_back(mc.dict_numeric[id]);
+  }
+
+  // Level k: stable-sort the rows by their k-prefix (ties keep row order, so
+  // every cell accumulates its rows in row order), then run-length
+  // aggregate each run of equal prefixes into one cell.
+  std::vector<uint32_t> order(num_rows_);
+  std::iota(order.begin(), order.end(), 0u);
+  star_tree_.resize(dims + 1);
+  for (size_t k = 0; k <= dims; ++k) {
+    auto prefix_less = [&](uint32_t a, uint32_t b) {
+      for (size_t d = 0; d < k; ++d) {
+        if (dim_ids[d][a] != dim_ids[d][b]) return dim_ids[d][a] < dim_ids[d][b];
       }
-      auto update = [&](StarTreeCell& cell) {
-        if (cell.sum.empty()) {
-          cell.sum.assign(num_metrics, 0);
-          cell.min.assign(num_metrics, 0);
-          cell.max.assign(num_metrics, 0);
-        }
-        for (size_t m = 0; m < num_metrics; ++m) {
-          if (cell.count == 0) {
-            cell.min[m] = metric_values[m];
-            cell.max[m] = metric_values[m];
-          } else {
-            cell.min[m] = std::min(cell.min[m], metric_values[m]);
-            cell.max[m] = std::max(cell.max[m], metric_values[m]);
-          }
-          cell.sum[m] += metric_values[m];
-        }
-        ++cell.count;
-      };
-      update(star_root_);
-      for (size_t k = 1; k <= star_dims_.size(); ++k) {
-        update(star_tree_[k - 1][EncodeIdTuple(ids, k)]);
+      return false;
+    };
+    if (k > 0) std::stable_sort(order.begin(), order.end(), prefix_less);
+    StarTreeLevel& level = star_tree_[k];
+    for (size_t i = 0; i < num_rows_; ++i) {
+      uint32_t r = order[i];
+      if (i == 0 || prefix_less(order[i - 1], r)) {
+        for (size_t d = 0; d < k; ++d) level.ids.push_back(dim_ids[d][r]);
+        level.accs.resize(level.accs.size() + stride);
+      }
+      AggAccumulator* cell = &level.accs[level.accs.size() - stride];
+      cell[0].Add(0.0);
+      for (size_t m = 0; m < star_metrics_.size(); ++m) {
+        cell[1 + m].Add(metric_values[m][r]);
       }
     }
+    if (k == 0 && level.accs.empty()) level.accs.resize(stride);
+    level.ids.shrink_to_fit();
+    level.accs.shrink_to_fit();
   }
 }
 
@@ -414,12 +397,9 @@ int64_t Segment::MemoryBytes() const {
     bytes += 16 + static_cast<int64_t>(zone.bloom.capacity() * sizeof(uint64_t)) +
              ValueMemoryBytes(zone.min) + ValueMemoryBytes(zone.max);
   }
-  size_t num_metrics = star_metrics_.size();
-  for (const auto& level : star_tree_) {
-    for (const auto& [key, cell] : level) {
-      bytes += static_cast<int64_t>(key.size()) + 48 +
-               static_cast<int64_t>(num_metrics * 3 * sizeof(double));
-    }
+  for (const StarTreeLevel& level : star_tree_) {
+    bytes += 48 + static_cast<int64_t>(level.ids.capacity() * sizeof(uint32_t) +
+                                       level.accs.capacity() * sizeof(AggAccumulator));
   }
   return bytes;
 }
@@ -719,131 +699,6 @@ Result<std::vector<uint32_t>> Segment::FilterRows(
     if (matches_scan(r)) rows.push_back(r);
   }
   return rows;
-}
-
-// --- Star-tree query path --------------------------------------------------
-
-bool Segment::TryStarTree(const OlapQuery& query, const std::vector<bool>* validity,
-                          OlapResult* result) const {
-  if (star_dims_.empty() || validity != nullptr) return false;
-  if (query.aggregations.empty()) return false;
-  // Which star dims does the query touch?
-  auto dim_position = [&](const std::string& name) {
-    int idx = ColumnIndex(name);
-    for (size_t d = 0; d < star_dims_.size(); ++d) {
-      if (star_dims_[d] == idx) return static_cast<int>(d);
-    }
-    return -1;
-  };
-  size_t max_prefix = 0;
-  std::vector<std::pair<int, Value>> eq_filters;  // dim position -> value
-  for (const FilterPredicate& pred : query.filters) {
-    if (pred.op != FilterPredicate::Op::kEq) return false;
-    int pos = dim_position(pred.column);
-    if (pos < 0) return false;
-    eq_filters.emplace_back(pos, pred.value);
-    max_prefix = std::max(max_prefix, static_cast<size_t>(pos) + 1);
-  }
-  std::vector<int> group_positions;
-  for (const std::string& g : query.group_by) {
-    int pos = dim_position(g);
-    if (pos < 0) return false;
-    group_positions.push_back(pos);
-    max_prefix = std::max(max_prefix, static_cast<size_t>(pos) + 1);
-  }
-  // Aggregations must be answerable from the cube metrics.
-  std::vector<int> metric_slot(query.aggregations.size(), -1);
-  for (size_t a = 0; a < query.aggregations.size(); ++a) {
-    const OlapAggregation& agg = query.aggregations[a];
-    if (agg.kind == OlapAggregation::Kind::kCount) continue;
-    int idx = ColumnIndex(agg.column);
-    bool found = false;
-    for (size_t m = 0; m < star_metrics_.size(); ++m) {
-      if (star_metrics_[m] == idx) {
-        metric_slot[a] = static_cast<int>(m);
-        found = true;
-        break;
-      }
-    }
-    if (!found) return false;
-  }
-
-  // Resolve EQ filter values to dict ids; a miss means zero matching rows.
-  std::vector<std::pair<int, uint32_t>> id_filters;
-  for (const auto& [pos, value] : eq_filters) {
-    const Column& column = columns_[static_cast<size_t>(star_dims_[static_cast<size_t>(pos)])];
-    Value target = CoerceTo(column.type, value);
-    auto lo = std::lower_bound(column.dictionary.begin(), column.dictionary.end(), target);
-    auto hi = std::upper_bound(column.dictionary.begin(), column.dictionary.end(), target);
-    if (lo == hi) {
-      // No rows: produce empty/zero result.
-      result->rows.clear();
-      return true;
-    }
-    id_filters.emplace_back(pos, static_cast<uint32_t>(lo - column.dictionary.begin()));
-  }
-
-  // Aggregate cells from the chosen cube level.
-  struct GroupEntry {
-    Row key_values;
-    std::vector<AggAccumulator> accs;
-  };
-  std::map<std::string, GroupEntry> groups;
-  auto fold_cell = [&](const std::vector<uint32_t>& prefix_ids, const StarTreeCell& cell) {
-    std::string group_key;
-    Row key_values;
-    for (int pos : group_positions) {
-      uint32_t id = prefix_ids[static_cast<size_t>(pos)];
-      AppendU32BE(&group_key, id);
-      const Column& column =
-          columns_[static_cast<size_t>(star_dims_[static_cast<size_t>(pos)])];
-      key_values.push_back(column.dictionary[id]);
-    }
-    GroupEntry& entry = groups[group_key];
-    if (entry.accs.empty()) {
-      entry.key_values = std::move(key_values);
-      entry.accs.resize(query.aggregations.size());
-    }
-    for (size_t a = 0; a < query.aggregations.size(); ++a) {
-      AggAccumulator partial;
-      partial.count = cell.count;
-      int slot = metric_slot[a];
-      if (slot >= 0) {
-        partial.sum = cell.sum[static_cast<size_t>(slot)];
-        partial.min = cell.min[static_cast<size_t>(slot)];
-        partial.max = cell.max[static_cast<size_t>(slot)];
-      }
-      entry.accs[a].Merge(partial);
-    }
-  };
-
-  if (max_prefix == 0) {
-    fold_cell({}, star_root_);
-  } else {
-    const auto& level = star_tree_[max_prefix - 1];
-    std::vector<uint32_t> ids(max_prefix);
-    for (const auto& [key, cell] : level) {
-      for (size_t d = 0; d < max_prefix; ++d) {
-        ids[d] = ReadU32BE(key.data() + d * 4);
-      }
-      bool match = true;
-      for (const auto& [pos, id] : id_filters) {
-        if (ids[static_cast<size_t>(pos)] != id) {
-          match = false;
-          break;
-        }
-      }
-      if (match) fold_cell(ids, cell);
-    }
-  }
-
-  result->rows.clear();
-  for (auto& [key, entry] : groups) {
-    Row row = std::move(entry.key_values);
-    for (const AggAccumulator& acc : entry.accs) AppendAccumulator(&row, acc);
-    result->rows.push_back(std::move(row));
-  }
-  return true;
 }
 
 // --- Execute ----------------------------------------------------------------

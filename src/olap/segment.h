@@ -2,7 +2,6 @@
 #define UBERRT_OLAP_SEGMENT_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -217,12 +216,16 @@ class Segment {
     bool MayContain(uint64_t hash) const;
   };
 
-  /// Star-tree cube node key: prefix length + encoded dict ids.
-  struct StarTreeCell {
-    std::vector<double> sum;
-    std::vector<double> min;
-    std::vector<double> max;
-    int64_t count = 0;
+  /// One star-tree level: the cube cells of one dimension-prefix length k,
+  /// as flat arrays sorted ascending by the cells' dict-id tuples, so a
+  /// query that pins the leading dimensions binary-searches its cell range.
+  /// Cell c's tuple is ids[c*k, c*k + k). Its accumulators are
+  /// accs[c*stride, c*stride + stride) with stride = 1 + metrics: slot 0
+  /// is the row count (sum/min/max 0, exactly what COUNT merges) and slot
+  /// 1 + m holds metric m's count/sum/min/max.
+  struct StarTreeLevel {
+    std::vector<uint32_t> ids;
+    std::vector<AggAccumulator> accs;
   };
 
   /// Deferred decode state for DeserializeLazy. `decoded[c]` flips true
@@ -266,6 +269,11 @@ class Segment {
   /// Scalar-oracle path only; the vectorized engine uses BuildSelection.
   Result<std::vector<uint32_t>> FilterRows(const std::vector<FilterPredicate>& preds,
                                            bool* all, int64_t* rows_scanned) const;
+  /// Answers an aggregate query from the star-tree when its filters are
+  /// Eq on star dimensions, its group-bys are star dimensions and its
+  /// aggregates are COUNT or star metrics (segment_exec.cc). Folds one level's
+  /// cells, seeking the range of a pinned leading prefix; false = not
+  /// servable here (the vectorized engine runs instead).
   bool TryStarTree(const OlapQuery& query, const std::vector<bool>* validity,
                    OlapResult* result) const;
 
@@ -298,10 +306,9 @@ class Segment {
   /// Set iff opened via DeserializeLazy; never reset once set.
   mutable std::unique_ptr<LazySource> lazy_;
 
-  // Star-tree: per prefix length k (1..dims), map from encoded id-tuple to
-  // cell; prefix 0 stored as the single `star_root_`.
-  std::vector<std::map<std::string, StarTreeCell>> star_tree_;
-  StarTreeCell star_root_;
+  /// Star-tree levels indexed by prefix length 0..dims; level 0 is the
+  /// single root cell (present even for an empty segment).
+  std::vector<StarTreeLevel> star_tree_;
   std::vector<int> star_dims_;     ///< column indexes of dimensions
   std::vector<int> star_metrics_;  ///< column indexes of metrics
 };

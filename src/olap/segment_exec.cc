@@ -6,6 +6,7 @@
 #include <bit>
 #include <map>
 #include <numeric>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -87,7 +88,185 @@ class GroupIndex {
   std::vector<uint64_t> keys_;
 };
 
+/// Group-by accumulators over dict-id tuples: num_aggs accumulators per
+/// group in one flat array, groups numbered densely in first-seen order.
+/// When the columns' id widths fit 64 bits a tuple packs into one key
+/// (column 0 in the most significant bits) found through GroupIndex; wider
+/// tuples fall back to big-endian id strings in an ordered map. Either way
+/// AppendRows emits groups in ascending tuple order, which is the scalar
+/// oracle's emission order.
+class GroupTable {
+ public:
+  GroupTable(std::vector<const std::vector<Value>*> dictionaries, size_t num_aggs)
+      : dictionaries_(std::move(dictionaries)), num_aggs_(num_aggs) {
+    size_t total_bits = 0;
+    for (const std::vector<Value>* dictionary : dictionaries_) {
+      size_t size = dictionary->size();
+      widths_.push_back(size > 1 ? static_cast<uint32_t>(std::bit_width(size - 1)) : 0u);
+      total_bits += widths_.back();
+    }
+    packed_ = total_bits <= 64;
+  }
+
+  /// The num_aggs accumulators of the group whose column g has dict id
+  /// `id_at(g)`; a new group starts zeroed.
+  template <typename IdAt>
+  AggAccumulator* Find(IdAt id_at) {
+    bool inserted = false;
+    size_t gi = 0;
+    if (packed_) {
+      uint64_t key = 0;
+      for (size_t g = 0; g < widths_.size(); ++g) key = (key << widths_[g]) | id_at(g);
+      gi = index_.FindOrInsert(key, &inserted);
+    } else {
+      wide_key_.clear();
+      for (size_t g = 0; g < widths_.size(); ++g) AppendIdBE(&wide_key_, id_at(g));
+      auto [it, fresh] = wide_.try_emplace(wide_key_, wide_.size());
+      gi = it->second;
+      inserted = fresh;
+    }
+    if (inserted) accs_.resize(accs_.size() + num_aggs_);
+    return &accs_[gi * num_aggs_];
+  }
+
+  /// Late-materializes each group's values once: [group values...,
+  /// accumulators...] rows in ascending tuple order.
+  void AppendRows(std::vector<Row>* out) const {
+    const size_t num_groups = widths_.size();
+    std::vector<uint32_t> ids(num_groups);
+    auto emit = [&](size_t gi) {
+      Row row;
+      row.reserve(num_groups + num_aggs_ * kAccumulatorFields);
+      for (size_t g = 0; g < num_groups; ++g) row.push_back((*dictionaries_[g])[ids[g]]);
+      for (size_t a = 0; a < num_aggs_; ++a) {
+        AppendAccumulator(&row, accs_[gi * num_aggs_ + a]);
+      }
+      out->push_back(std::move(row));
+    };
+    if (!packed_) {
+      for (const auto& [key, gi] : wide_) {
+        for (size_t g = 0; g < num_groups; ++g) ids[g] = ReadIdBE(key.data() + g * 4);
+        emit(gi);
+      }
+      return;
+    }
+    const std::vector<uint64_t>& keys = index_.keys();
+    std::vector<uint32_t> order(keys.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
+    for (uint32_t gi : order) {
+      uint64_t key = keys[gi];
+      for (size_t g = num_groups; g-- > 0;) {
+        ids[g] = static_cast<uint32_t>(key & ((1ULL << widths_[g]) - 1));
+        key >>= widths_[g];
+      }
+      emit(gi);
+    }
+  }
+
+ private:
+  std::vector<const std::vector<Value>*> dictionaries_;
+  size_t num_aggs_;
+  std::vector<uint32_t> widths_;
+  bool packed_ = true;
+  GroupIndex index_;
+  std::map<std::string, size_t> wide_;
+  std::string wide_key_;
+  std::vector<AggAccumulator> accs_;
+};
+
 }  // namespace
+
+bool Segment::TryStarTree(const OlapQuery& query, const std::vector<bool>* validity,
+                          OlapResult* result) const {
+  if (star_dims_.empty() || validity != nullptr) return false;
+  if (query.aggregations.empty()) return false;
+  // Which star dims does the query touch?
+  auto dim_position = [&](const std::string& name) {
+    int idx = ColumnIndex(name);
+    for (size_t d = 0; d < star_dims_.size(); ++d) {
+      if (star_dims_[d] == idx) return static_cast<int>(d);
+    }
+    return -1;
+  };
+  size_t max_prefix = 0;
+  std::vector<std::pair<size_t, const FilterPredicate*>> eq_filters;  // dim position
+  for (const FilterPredicate& pred : query.filters) {
+    if (pred.op != FilterPredicate::Op::kEq) return false;
+    int pos = dim_position(pred.column);
+    if (pos < 0) return false;
+    eq_filters.emplace_back(static_cast<size_t>(pos), &pred);
+    max_prefix = std::max(max_prefix, static_cast<size_t>(pos) + 1);
+  }
+  std::vector<size_t> group_positions;
+  std::vector<const std::vector<Value>*> group_dictionaries;
+  for (const std::string& g : query.group_by) {
+    int pos = dim_position(g);
+    if (pos < 0) return false;
+    group_positions.push_back(static_cast<size_t>(pos));
+    group_dictionaries.push_back(
+        &columns_[static_cast<size_t>(star_dims_[static_cast<size_t>(pos)])].dictionary);
+    max_prefix = std::max(max_prefix, static_cast<size_t>(pos) + 1);
+  }
+  // Aggregations must be answerable from the cube metrics: accumulator slot
+  // 0 is COUNT, slot 1 + m is metric m.
+  std::vector<size_t> agg_slot(query.aggregations.size(), 0);
+  for (size_t a = 0; a < query.aggregations.size(); ++a) {
+    const OlapAggregation& agg = query.aggregations[a];
+    if (agg.kind == OlapAggregation::Kind::kCount) continue;
+    int idx = ColumnIndex(agg.column);
+    auto it = std::find(star_metrics_.begin(), star_metrics_.end(), idx);
+    if (it == star_metrics_.end()) return false;
+    agg_slot[a] = 1 + static_cast<size_t>(it - star_metrics_.begin());
+  }
+
+  // Resolve EQ filter values to dict ids. A value missing from the
+  // dictionary, or two different values on one dimension, match no rows.
+  result->rows.clear();
+  constexpr uint32_t kUnpinned = 0xFFFFFFFFu;
+  std::vector<uint32_t> pinned(max_prefix, kUnpinned);
+  for (const auto& [pos, pred] : eq_filters) {
+    auto [id, id_end] =
+        PredicateIdRange(columns_[static_cast<size_t>(star_dims_[pos])], *pred).value();
+    if (id == id_end) return true;
+    if (pinned[pos] != kUnpinned && pinned[pos] != id) return true;
+    pinned[pos] = id;
+  }
+
+  // The level's cells are sorted by tuple, so the cells matching the pinned
+  // leading dimensions form one contiguous range: binary-search it. Pins on
+  // later dimensions are checked per cell within that range.
+  const StarTreeLevel& level = star_tree_[max_prefix];
+  const size_t k = max_prefix;
+  const size_t stride = 1 + star_metrics_.size();
+  const size_t seek = static_cast<size_t>(
+      std::find(pinned.begin(), pinned.end(), kUnpinned) - pinned.begin());
+  const uint32_t* key = pinned.data();
+  auto cell_ids = [&](size_t c) { return level.ids.data() + c * k; };
+  auto cells = std::views::iota(size_t{0}, level.accs.size() / stride);
+  size_t begin = *std::ranges::partition_point(cells, [&](size_t c) {
+    return std::lexicographical_compare(cell_ids(c), cell_ids(c) + seek, key, key + seek);
+  });
+  size_t end = *std::ranges::partition_point(cells, [&](size_t c) {
+    return !std::lexicographical_compare(key, key + seek, cell_ids(c), cell_ids(c) + seek);
+  });
+
+  GroupTable groups(std::move(group_dictionaries), query.aggregations.size());
+  for (size_t c = begin; c < end; ++c) {
+    const uint32_t* ids = cell_ids(c);
+    bool match = true;
+    for (size_t d = seek; d < k && match; ++d) {
+      match = pinned[d] == kUnpinned || ids[d] == pinned[d];
+    }
+    if (!match) continue;
+    AggAccumulator* accs = groups.Find([&](size_t g) { return ids[group_positions[g]]; });
+    const AggAccumulator* cell = &level.accs[c * stride];
+    for (size_t a = 0; a < query.aggregations.size(); ++a) accs[a].Merge(cell[agg_slot[a]]);
+  }
+  groups.AppendRows(&result->rows);
+  return true;
+}
 
 Result<SelectionBitmap> Segment::BuildSelection(
     const std::vector<FilterPredicate>& preds, const std::vector<bool>* validity,
@@ -177,8 +356,8 @@ Result<SelectionBitmap> Segment::BuildSelection(
   // then adds nothing.
   if (!scan_preds.empty() && num_rows_ > 0) {
     *filter_scanned = true;
-    std::vector<uint32_t> rows(kBatchRows);
-    std::vector<uint32_t> dense(kBatchRows);
+    std::vector<uint32_t> rows(std::min(kBatchRows, num_rows_));
+    std::vector<uint32_t> dense(rows.size());
     for (size_t base = 0; base < num_rows_; base += kBatchRows) {
       size_t hi = std::min(base + kBatchRows, num_rows_);
       size_t live = sel.Extract(base, hi, rows.data());
@@ -222,8 +401,11 @@ Result<OlapResult> Segment::ExecuteVectorized(const OlapQuery& query,
                                               OlapQueryStats* stats) const {
   OlapResult result;
 
-  std::vector<uint32_t> rows(kBatchRows);
-  std::vector<uint32_t> dense(kBatchRows);
+  // Scratch sized to the segment: a small sealed segment (the realtime
+  // tables seal every few hundred rows) never zero-fills a full batch.
+  const size_t batch_rows = std::min(kBatchRows, num_rows_);
+  std::vector<uint32_t> rows(batch_rows);
+  std::vector<uint32_t> dense(batch_rows);
   // Batch gather of one column's dict ids for the extracted rows: dense
   // unpack + index when the batch is mostly selected, per-row gets otherwise.
   auto gather = [&](const Column& column, size_t base, size_t span,
@@ -262,7 +444,7 @@ Result<OlapResult> Segment::ExecuteVectorized(const OlapQuery& query,
 
     std::vector<std::vector<uint32_t>> agg_ids(num_aggs);
     for (size_t a = 0; a < num_aggs; ++a) {
-      if (agg_indices[a] >= 0) agg_ids[a].resize(kBatchRows);
+      if (agg_indices[a] >= 0) agg_ids[a].resize(batch_rows);
     }
     // dict id -> numeric, so the kernels never build a Value on the hot path.
     auto agg_value = [&](size_t a, size_t i) {
@@ -315,87 +497,13 @@ Result<OlapResult> Segment::ExecuteVectorized(const OlapQuery& query,
       return result;
     }
 
-    // Group keys are packed dict-id composites: column 0 in the most
-    // significant bits, so ascending numeric key order equals ascending
-    // dict-id tuple order (what the scalar oracle's big-endian map keys
-    // yield).
-    std::vector<uint32_t> widths(num_groups);
-    size_t total_bits = 0;
-    for (size_t g = 0; g < num_groups; ++g) {
-      size_t dict_size =
-          columns_[static_cast<size_t>(group_indices[g])].dictionary.size();
-      widths[g] = dict_size > 1
-                      ? static_cast<uint32_t>(std::bit_width(dict_size - 1))
-                      : 0u;
-      total_bits += widths[g];
+    std::vector<const std::vector<Value>*> group_dictionaries;
+    for (int idx : group_indices) {
+      group_dictionaries.push_back(&columns_[static_cast<size_t>(idx)].dictionary);
     }
-    std::vector<std::vector<uint32_t>> group_ids(
-        num_groups, std::vector<uint32_t>(kBatchRows));
-
-    if (total_bits <= 64) {
-      // Fast path: single-word keys into an open-addressing map, flat
-      // accumulator array with stride num_aggs.
-      GroupIndex index;
-      std::vector<AggAccumulator> accs;
-      std::vector<uint64_t> keys(kBatchRows);
-      for (size_t base = 0; base < num_rows_; base += kBatchRows) {
-        size_t hi = std::min(base + kBatchRows, num_rows_);
-        size_t n = sel.Extract(base, hi, rows.data());
-        if (n == 0) continue;
-        if (!filter_scanned) stats->rows_scanned += static_cast<int64_t>(n);
-        ++stats->exec_batches;
-        for (size_t g = 0; g < num_groups; ++g) {
-          gather(columns_[static_cast<size_t>(group_indices[g])], base, hi - base,
-                 n, group_ids[g].data());
-        }
-        std::fill(keys.begin(), keys.begin() + static_cast<ptrdiff_t>(n), 0);
-        for (size_t g = 0; g < num_groups; ++g) {
-          uint32_t w = widths[g];
-          const uint32_t* ids = group_ids[g].data();
-          for (size_t i = 0; i < n; ++i) keys[i] = (keys[i] << w) | ids[i];
-        }
-        gather_agg_ids(base, hi - base, n);
-        for (size_t i = 0; i < n; ++i) {
-          bool inserted = false;
-          size_t gi = index.FindOrInsert(keys[i], &inserted);
-          if (inserted) accs.resize(accs.size() + num_aggs);
-          AggAccumulator* acc = &accs[gi * num_aggs];
-          for (size_t a = 0; a < num_aggs; ++a) acc[a].Add(agg_value(a, i));
-        }
-      }
-      // Late-materialize group values once per group, emitted in ascending
-      // key order (== the scalar oracle's emission order).
-      std::vector<uint32_t> order(index.keys().size());
-      std::iota(order.begin(), order.end(), 0u);
-      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        return index.keys()[a] < index.keys()[b];
-      });
-      std::vector<uint32_t> ids(num_groups);
-      for (uint32_t gi : order) {
-        uint64_t key = index.keys()[gi];
-        for (size_t g = num_groups; g-- > 0;) {
-          uint32_t w = widths[g];
-          ids[g] = static_cast<uint32_t>(key & ((1ULL << w) - 1));
-          key >>= w;
-        }
-        Row row;
-        row.reserve(num_groups + num_aggs * kAccumulatorFields);
-        for (size_t g = 0; g < num_groups; ++g) {
-          const Column& column = columns_[static_cast<size_t>(group_indices[g])];
-          row.push_back(column.dictionary[ids[g]]);
-        }
-        for (size_t a = 0; a < num_aggs; ++a) {
-          AppendAccumulator(&row, accs[gi * num_aggs + a]);
-        }
-        result.rows.push_back(std::move(row));
-      }
-      return result;
-    }
-
-    // Wide-key fallback (> 64 key bits): big-endian id strings into an
-    // ordered map; map order is already ascending tuple order.
-    std::map<std::string, std::vector<AggAccumulator>> groups;
-    std::string key;
+    GroupTable groups(std::move(group_dictionaries), num_aggs);
+    std::vector<std::vector<uint32_t>> group_ids(num_groups,
+                                                 std::vector<uint32_t>(batch_rows));
     for (size_t base = 0; base < num_rows_; base += kBatchRows) {
       size_t hi = std::min(base + kBatchRows, num_rows_);
       size_t n = sel.Extract(base, hi, rows.data());
@@ -408,24 +516,11 @@ Result<OlapResult> Segment::ExecuteVectorized(const OlapQuery& query,
       }
       gather_agg_ids(base, hi - base, n);
       for (size_t i = 0; i < n; ++i) {
-        key.clear();
-        for (size_t g = 0; g < num_groups; ++g) AppendIdBE(&key, group_ids[g][i]);
-        auto [it, inserted] = groups.try_emplace(key);
-        if (inserted) it->second.resize(num_aggs);
-        for (size_t a = 0; a < num_aggs; ++a) it->second[a].Add(agg_value(a, i));
+        AggAccumulator* acc = groups.Find([&](size_t g) { return group_ids[g][i]; });
+        for (size_t a = 0; a < num_aggs; ++a) acc[a].Add(agg_value(a, i));
       }
     }
-    for (auto& [group_key, accs] : groups) {
-      Row row;
-      row.reserve(num_groups + num_aggs * kAccumulatorFields);
-      for (size_t g = 0; g < num_groups; ++g) {
-        uint32_t id = ReadIdBE(group_key.data() + g * 4);
-        const Column& column = columns_[static_cast<size_t>(group_indices[g])];
-        row.push_back(column.dictionary[id]);
-      }
-      for (const AggAccumulator& acc : accs) AppendAccumulator(&row, acc);
-      result.rows.push_back(std::move(row));
-    }
+    groups.AppendRows(&result.rows);
     return result;
   }
 
@@ -448,7 +543,7 @@ Result<OlapResult> Segment::ExecuteVectorized(const OlapQuery& query,
   // Per-segment short-circuit only valid without ORDER BY.
   const bool can_short_circuit = query.limit >= 0 && query.order_by.empty();
   std::vector<std::vector<uint32_t>> select_ids(
-      select_indices.size(), std::vector<uint32_t>(kBatchRows));
+      select_indices.size(), std::vector<uint32_t>(batch_rows));
   for (size_t base = 0; base < num_rows_; base += kBatchRows) {
     size_t hi = std::min(base + kBatchRows, num_rows_);
     size_t n = sel.Extract(base, hi, rows.data());

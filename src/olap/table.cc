@@ -4,15 +4,6 @@
 
 namespace uberrt::olap {
 
-namespace {
-
-void AppendGroupId(std::string* key, const Value& v) {
-  key->append(v.ToString());
-  key->push_back('\0');
-}
-
-}  // namespace
-
 bool EvalPredicate(const FilterPredicate& pred, const Value& v) {
   const Value& target = pred.value;
   bool less = v < target;
@@ -191,8 +182,10 @@ Result<OlapResult> RealtimePartition::ExecuteOnBuffer(const OlapQuery& query,
       ++stats->rows_scanned;
       const Row& row = buffer_[r];
       if (!matches(row)) continue;
+      // Typed value encoding, as MergeAndFinalize keys groups: ToString
+      // keeps 6 significant digits of a double, merging distinct values.
       std::string key;
-      for (int idx : group_indices) AppendGroupId(&key, row[static_cast<size_t>(idx)]);
+      for (int idx : group_indices) AppendValue(&key, row[static_cast<size_t>(idx)]);
       GroupEntry& entry = groups[key];
       if (entry.accs.empty()) {
         entry.accs.resize(query.aggregations.size());

@@ -58,6 +58,8 @@ class JobManagerTest : public ::testing::Test {
     return graph;
   }
 
+  // Declared first so it outlives the broker and runners that may hold it.
+  common::FaultInjector faults_;
   std::unique_ptr<Broker> broker_;
   std::unique_ptr<storage::InMemoryObjectStore> store_;
   std::unique_ptr<JobManager> manager_;
@@ -132,7 +134,12 @@ TEST_F(JobManagerTest, LagTriggersAutoScaleWithStateRedistribution) {
   ASSERT_TRUE(manager_->GetRunner(id.value())->WaitUntilCaughtUp(10000).ok());
   ASSERT_TRUE(manager_->Tick().ok());
 
-  // Build a big backlog, then tick: the monitor should scale up.
+  // Build a big backlog, then tick: the monitor should scale up. The
+  // sources are held (every fetch fails; RunSource retries) while the
+  // backlog builds and Tick reads the lag, so the job cannot drain it first.
+  const std::string fetch_site = "broker.fetch." + broker_->name();
+  broker_->SetFaultInjector(&faults_);
+  faults_.SetDown(fetch_site, true);
   for (int i = 0; i < 2000; ++i) {
     broker_->Produce("events", Event("k" + std::to_string(i % 7), 1.0, 2000 + i)).ok();
   }
@@ -141,6 +148,7 @@ TEST_F(JobManagerTest, LagTriggersAutoScaleWithStateRedistribution) {
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info.value().rescales, 1);
   EXPECT_EQ(info.value().parallelism, 2);
+  faults_.SetDown(fetch_site, false);
 
   // Drain and finish: per-key counts must be exact across the rescale —
   // proof the keyed state was redistributed correctly.

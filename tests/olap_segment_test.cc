@@ -253,6 +253,47 @@ TEST(SegmentTest, StarTreeAnswersMatchScanExactly) {
   }
 }
 
+TEST(SegmentTest, WideGroupKeysMatchScalarOracle) {
+  // Nine 256-value dimensions need 9 x 8 = 72 key bits, past one packed
+  // u64 key: both the star-tree and the vectorized scan take the ordered
+  // wide-key path and must still emit the oracle's rows in its order.
+  constexpr int kDims = 9;
+  std::vector<FieldSpec> fields;
+  std::vector<std::string> dims;
+  for (int d = 0; d < kDims; ++d) {
+    dims.push_back("d" + std::to_string(d));
+    fields.push_back({dims.back(), ValueType::kInt});
+  }
+  fields.push_back({"m", ValueType::kDouble});
+  RowSchema schema(fields);
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 512; ++i) {
+    Row row;
+    for (int64_t d = 0; d < kDims; ++d) row.push_back(Value((i * (2 * d + 1)) % 256));
+    row.push_back(Value(0.5 * static_cast<double>(i % 13)));
+    rows.push_back(std::move(row));
+  }
+  SegmentIndexConfig star;
+  star.star_tree_dimensions = dims;
+  star.star_tree_metrics = {"m"};
+  for (const SegmentIndexConfig& config : {star, SegmentIndexConfig{}}) {
+    Result<std::shared_ptr<Segment>> segment = Segment::Build("wide", schema, rows, config);
+    ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+    OlapQuery query;
+    query.group_by = {dims.rbegin(), dims.rend()};
+    query.aggregations = {OlapAggregation::Count("n"), OlapAggregation::Sum("m", "s")};
+    OlapQueryStats stats, oracle_stats;
+    Result<OlapResult> fast = segment.value()->Execute(query, nullptr, &stats);
+    query.force_scalar = true;
+    Result<OlapResult> oracle = segment.value()->Execute(query, nullptr, &oracle_stats);
+    ASSERT_TRUE(fast.ok());
+    ASSERT_TRUE(oracle.ok());
+    EXPECT_EQ(stats.star_tree_hits, config.star_tree_dimensions.empty() ? 0 : 1);
+    EXPECT_EQ(fast.value().rows.size(), 256u);
+    EXPECT_EQ(fast.value().rows, oracle.value().rows);
+  }
+}
+
 TEST(SegmentTest, StarTreeDeclinesUnsupportedQueries) {
   SegmentIndexConfig star;
   star.star_tree_dimensions = {"restaurant"};

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace uberrt::olap {
@@ -106,6 +110,36 @@ TEST(RealtimePartitionTest, UpsertAcrossSealBoundaries) {
 TEST(RealtimePartitionTest, RowWidthValidated) {
   RealtimePartition partition(FareTable(false), 0);
   EXPECT_FALSE(partition.Ingest({Value("r")}).ok());
+}
+
+TEST(RealtimePartitionTest, BufferGroupByKeepsNearlyEqualDoublesApart) {
+  // Prices that print alike at 6 significant digits are still two groups in
+  // the consuming buffer, exactly as they are once sealed.
+  RealtimePartition partition(FareTable(false), 0);
+  ASSERT_TRUE(partition.Ingest(Fare("a", 1.0000001)).ok());
+  ASSERT_TRUE(partition.Ingest(Fare("b", 1.0000002)).ok());
+  ASSERT_TRUE(partition.Ingest(Fare("c", 1.0000002)).ok());
+  OlapQuery query;
+  query.group_by = {"fare"};
+  query.aggregations = {OlapAggregation::Count("n")};
+  auto group_counts = [&] {
+    OlapQueryStats stats;
+    Result<OlapResult> result = partition.Execute(query, &stats);
+    EXPECT_TRUE(result.ok());
+    std::vector<std::pair<double, int64_t>> counts;
+    for (const Row& partial : result.value().rows) {
+      counts.emplace_back(partial[0].AsDouble(), partial[1].AsInt());
+    }
+    std::sort(counts.begin(), counts.end());
+    return counts;
+  };
+  const std::vector<std::pair<double, int64_t>> expected = {{1.0000001, 1},
+                                                            {1.0000002, 2}};
+  EXPECT_EQ(partition.NumSealedSegments(), 0);
+  EXPECT_EQ(group_counts(), expected);
+  ASSERT_TRUE(partition.SealIfNeeded(true).ok());
+  EXPECT_EQ(partition.NumSealedSegments(), 1);
+  EXPECT_EQ(group_counts(), expected);
 }
 
 /// Property sweep: EvalPredicate agrees with a straightforward spec across

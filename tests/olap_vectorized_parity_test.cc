@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -156,6 +157,60 @@ OlapQuery RandomAggregateQuery(Rng& rng, const FuzzContext& ctx) {
   return query;
 }
 
+/// Star-tree filter shapes: a pin on the leading dimension (a seek), on the
+/// second dimension only (a full-level walk), on both, two different values
+/// on one dimension, and values missing from the dictionary.
+enum class StarShape { kLeading, kSecond, kBoth, kConflicting, kMissing };
+
+/// Aggregate the star-tree can serve: only Eq filters on star dimensions,
+/// group-bys on star dimensions, COUNT or star metrics. `two_dims` is
+/// archetype 3 (dims k1, k2; metrics v1, v2); otherwise archetype 4 (dim k1;
+/// metric v1).
+OlapQuery RandomStarQuery(Rng& rng, const FuzzContext& ctx, bool two_dims,
+                          StarShape shape) {
+  auto k1 = [&](int64_t v) { return FilterPredicate::Eq("k1", Value(v)); };
+  auto k2 = [&](const std::string& v) { return FilterPredicate::Eq("k2", Value(v)); };
+  const int64_t k1_value = rng.Uniform(0, ctx.k1_cardinality - 1);
+  const std::string& k2_value = rng.Pick(ctx.k2_pool);
+  OlapQuery query;
+  switch (shape) {
+    case StarShape::kLeading: query.filters = {k1(k1_value)}; break;
+    case StarShape::kSecond: query.filters = {k2(k2_value)}; break;
+    case StarShape::kBoth:
+      query.filters = {k2(k2_value), k1(k1_value)};
+      if (rng.Chance(0.5)) std::swap(query.filters[0], query.filters[1]);
+      break;
+    case StarShape::kConflicting:
+      // k1_value + 1 may also be missing from the dictionary; either way the
+      // two pins contradict each other.
+      query.filters = {k1(k1_value), k1(k1_value + 1)};
+      break;
+    case StarShape::kMissing:
+      if (two_dims && rng.Chance(0.5)) {
+        query.filters = {k1(k1_value), k2("zzz-missing")};
+      } else {
+        query.filters = {k1(ctx.k1_cardinality + 3)};
+      }
+      break;
+  }
+  static const std::vector<std::vector<std::string>> kTwoDimGroups = {
+      {}, {"k1"}, {"k2"}, {"k1", "k2"}, {"k2", "k1"}};
+  static const std::vector<std::vector<std::string>> kOneDimGroups = {{}, {"k1"}};
+  query.group_by = two_dims ? rng.Pick(kTwoDimGroups) : rng.Pick(kOneDimGroups);
+  query.aggregations.push_back(OlapAggregation::Count("n"));
+  if (rng.Chance(0.8)) {
+    query.aggregations.push_back(OlapAggregation::Sum("v1", "sum1"));
+  }
+  if (rng.Chance(0.5)) {
+    query.aggregations.push_back(OlapAggregation::Min("v1", "lo"));
+    query.aggregations.push_back(OlapAggregation::Max("v1", "hi"));
+  }
+  if (two_dims && rng.Chance(0.5)) {
+    query.aggregations.push_back(OlapAggregation::Avg("v2", "mean2"));
+  }
+  return query;
+}
+
 OlapQuery RandomSelectQuery(Rng& rng, const FuzzContext& ctx) {
   OlapQuery query;
   int num_filters = static_cast<int>(rng.Uniform(0, 2));
@@ -173,9 +228,10 @@ OlapQuery RandomSelectQuery(Rng& rng, const FuzzContext& ctx) {
 /// Runs `query` through both engines on the same segment + validity and
 /// requires bitwise-identical result rows.
 void ExpectParity(const FuzzContext& ctx, OlapQuery query, int iteration,
-                  const char* what) {
+                  const char* what, OlapQueryStats* vectorized_stats = nullptr) {
   const std::vector<bool>* validity = ctx.use_validity ? &ctx.validity : nullptr;
-  OlapQueryStats vec_stats, scalar_stats;
+  OlapQueryStats local_stats, scalar_stats;
+  OlapQueryStats& vec_stats = vectorized_stats != nullptr ? *vectorized_stats : local_stats;
   query.force_scalar = false;
   Result<OlapResult> vectorized = ctx.segment->Execute(query, validity, &vec_stats);
   query.force_scalar = true;
@@ -199,6 +255,26 @@ TEST_P(VectorizedParityTest, VectorizedMatchesScalarOracleExactly) {
     ExpectParity(ctx, RandomAggregateQuery(rng, ctx), iteration, "aggregate");
     ExpectParity(ctx, RandomAggregateQuery(rng, ctx), iteration, "aggregate");
     ExpectParity(ctx, RandomSelectQuery(rng, ctx), iteration, "select");
+
+    // Star archetypes: every Eq-filter shape must be served by the cube
+    // (no validity mask, which the star-tree never serves) and still match
+    // the oracle bit for bit.
+    if (iteration % 5 == 3 || iteration % 5 == 4) {
+      const bool two_dims = iteration % 5 == 3;
+      FuzzContext star_ctx = ctx;
+      star_ctx.use_validity = false;
+      for (StarShape shape : {StarShape::kLeading, StarShape::kSecond, StarShape::kBoth,
+                              StarShape::kConflicting, StarShape::kMissing}) {
+        if (!two_dims && (shape == StarShape::kSecond || shape == StarShape::kBoth)) {
+          continue;
+        }
+        OlapQueryStats stats;
+        ExpectParity(star_ctx, RandomStarQuery(rng, ctx, two_dims, shape), iteration,
+                     "star", &stats);
+        EXPECT_GT(stats.star_tree_hits, 0)
+            << "iteration " << iteration << " shape " << static_cast<int>(shape);
+      }
+    }
 
     // Every fourth iteration also round-trips through the columnar blob so
     // the FromWords deserialization path serves the vectorized engine.
