@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI gate, in two stages:
-#   1. tier-1: plain build + the full ctest suite (must stay green).
+#   1. tier-1: plain build + the full ctest suite (must stay green), then
+#      the pipebench selftest.
 #   2. sanitizers: the concurrency stress suites plus the vectorized/scalar
 #      parity fuzz under AddressSanitizer and ThreadSanitizer — the
 #      enforcement mechanism for the lifetime and lock rules in DESIGN.md §5
@@ -26,6 +27,11 @@ echo "== tier-1: plain build + full test suite =="
 cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
+
+# Benchmark selftest (builds pipebench's own Release tree): wrapped queries
+# must match unwrapped ones and the traced pump must match PumpOnce.
+echo "== pipebench selftest =="
+python3 pipebench/run.py --selftest
 
 CONCURRENCY_SUITES="common_executor_test|stream_log_test|stream_broker_concurrency_test|olap_cluster_concurrency_test|chaos_soak_test|olap_vectorized_parity_test|olap_morsel_parity_test|olap_upsert_recovery_test|olap_tiering_test|allactive_drill_test|compute_batch_parity_test|stream_federation_test|stream_dlq_proxy_test|olap_segment_test|olap_table_test"
 for SAN in address thread; do

@@ -13,6 +13,15 @@ namespace {
 /// Elements (not batches) one instance task processes before rescheduling
 /// itself, so a small pool round-robins fairly across a wide pipeline.
 constexpr int kInstanceTaskBudget = 1024;
+/// Elements one bounded channel buffers: credit-based backpressure
+/// (Flink-like) stalls the producer beyond this.
+constexpr size_t kChannelCapacity = 1024;
+/// Messages a source task fetches per poll of one partition.
+constexpr size_t kSourcePollBatch = 256;
+/// Sleep of a source task whose poll found no data.
+constexpr int64_t kSourceIdleSleepMs = 1;
+/// Threads of the private pool a runner creates when given no executor.
+constexpr size_t kPrivatePoolThreads = 4;
 
 /// Terminal stage: delivers rows to the configured sink.
 class SinkOperator : public OperatorInstance {
@@ -235,7 +244,7 @@ Status JobRunner::BuildTopology() {
       inst->stage = static_cast<int>(s);
       inst->index = i;
       inst->queue =
-          std::make_unique<BoundedQueue<ElementBatch>>(options_.channel_capacity);
+          std::make_unique<BoundedQueue<ElementBatch>>(kChannelCapacity);
       inst->num_upstream = num_upstream;
       inst->is_sink = plan.is_sink;
       inst->upstream_wm.assign(static_cast<size_t>(num_upstream), INT64_MIN);
@@ -311,7 +320,7 @@ Status JobRunner::Start() {
   executor_ = options_.executor;
   if (executor_ == nullptr) {
     common::ExecutorOptions pool;
-    pool.num_threads = std::max<size_t>(1, options_.pool_threads);
+    pool.num_threads = kPrivatePoolThreads;
     pool.name = "executor.job." + graph_.name();
     owned_executor_ = std::make_unique<common::Executor>(pool);
     executor_ = owned_executor_.get();
@@ -511,7 +520,7 @@ void JobRunner::RunSource(size_t source_index) {
     if (!src.stash.empty()) break;  // downstream full: stop pulling more
     Result<stream::FetchedBatch> batch =
         bus_->FetchViews(src.spec.topic, static_cast<int32_t>(p), src.positions[p],
-                         options_.source_poll_batch);
+                         kSourcePollBatch);
     if (!batch.ok()) {
       if (batch.status().code() == StatusCode::kOutOfRange) {
         Result<int64_t> begin =
@@ -587,7 +596,7 @@ void JobRunner::RunSource(size_t source_index) {
     }
   }
   src.busy.store(false);
-  if (!got_data) SystemClock::Instance()->SleepMs(options_.source_idle_sleep_ms);
+  if (!got_data) SystemClock::Instance()->SleepMs(kSourceIdleSleepMs);
   if (cancel_.load() || !SubmitTask([this, source_index] { RunSource(source_index); })) {
     src.done.store(true);
   }

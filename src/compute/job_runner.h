@@ -24,11 +24,6 @@ namespace uberrt::compute {
 
 /// Engine behaviour knobs.
 struct JobRunnerOptions {
-  /// Per-channel buffer. Bounded channels give credit-based backpressure
-  /// (Flink-like); 0 means unbounded (the Storm-like no-flow-control mode
-  /// compared in Section 4.2 and bench C2).
-  size_t channel_capacity = 1024;
-  size_t source_poll_batch = 256;
   /// Max records per ElementBatch flowing through a channel. Batching
   /// amortizes queue mutexes, wakeup CASes and in-flight bookkeeping across
   /// the batch (Section 4.2's pipelined network buffers). <= 1 gives the
@@ -44,14 +39,12 @@ struct JobRunnerOptions {
   /// When false the job manager never snapshots this job; recovery
   /// recomputes state from the stream (the surge tuning of Section 5.1).
   bool periodic_checkpoints = true;
-  int64_t source_idle_sleep_ms = 1;
   std::string checkpoint_prefix = "checkpoints";
   /// Pool the job's tasks run on. nullptr -> the runner creates a private
-  /// pool of `pool_threads` threads, so tests and standalone runners need no
-  /// wiring. Either way the job's OS-thread count is the pool size, not the
+  /// pool of 4 threads, so tests and standalone runners need no wiring.
+  /// Either way the job's OS-thread count is the pool size, not the
   /// operator-instance count.
   common::Executor* executor = nullptr;
-  size_t pool_threads = 4;
   /// Retry policy wrapped around checkpoint Save/Load against the object
   /// store; nullptr means one attempt (the seed behaviour). The policy is
   /// borrowed (typically from the JobManager) and must outlive the runner.

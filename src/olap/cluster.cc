@@ -10,8 +10,8 @@ namespace uberrt::olap {
 namespace {
 
 /// Footprint estimate of one cached result, charged against the per-table
-/// byte cap and the cluster memory budget. Mirrors the row accounting of
-/// RealtimePartition::MemoryBytes (+ the key and entry overhead).
+/// byte cap and the cluster memory budget: 16 bytes per row and per value
+/// plus string bytes (+ the key and entry overhead).
 int64_t EstimateResultBytes(const std::string& key, const OlapResult& result) {
   int64_t bytes = static_cast<int64_t>(key.size()) + 64;
   for (const Row& row : result.rows) {
@@ -333,7 +333,7 @@ Result<int64_t> OlapCluster::IngestOnce(const std::string& table,
           size_t& used = budget_used[partition_id];
           while (used < max_per_partition) {
             int64_t room =
-                sp.data->segment_rows_threshold() - sp.data->BufferedRows();
+                sp.data->segment_rows_threshold() - sp.data->ConsumingRows();
             if (room <= 0) {
               UBERRT_RETURN_IF_ERROR(HandleSeal(t, &server, partition_id, &sp));
               if (sp.archival_blocked) break;  // halted until the drain below
@@ -494,12 +494,12 @@ Result<OlapResult> OlapCluster::Query(const std::string& table,
     result_cache_misses_->Increment();
   }
 
-  // Plan: one morsel per surviving sealed segment plus the consuming buffer,
+  // Plan: one morsel per surviving sealed segment plus the consuming segment,
   // laid out server-by-server so the gather below is deterministic. Zone-map
   // and time-window pruning happen here — pruned segments never become work.
   struct Morsel {
     const RealtimePartition* part;
-    int32_t unit;  // sealed-segment index, or -1 for the consuming buffer
+    int32_t unit;  // sealed-segment index, or -1 for the consuming segment
   };
   struct ServerPlan {
     size_t first_morsel = 0;

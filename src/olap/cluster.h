@@ -150,7 +150,7 @@ class OlapCluster {
   /// limit. Holds no cluster-wide lock while servers execute.
   Result<OlapResult> Query(const std::string& table, const OlapQuery& query) const;
 
-  /// Force-seals every consuming buffer into an immutable (indexed)
+  /// Force-seals every consuming segment into an immutable (indexed)
   /// segment, e.g. before latency benchmarks. Returns segments sealed.
   Result<int64_t> ForceSeal(const std::string& table);
 

@@ -6,7 +6,6 @@
 #include <map>
 #include <mutex>
 #include <numeric>
-#include <set>
 
 #include "common/hash.h"
 
@@ -61,7 +60,7 @@ int64_t ValueMemoryBytes(const Value& v) {
 }
 
 /// Coerces a cell to the column's declared type (ingest normalization).
-Value CoerceTo(ValueType type, const Value& v) {
+Value CoerceTo(ValueType type, Value v) {
   if (v.is_null() || v.type() == type) return v;
   switch (type) {
     case ValueType::kInt:
@@ -76,6 +75,63 @@ Value CoerceTo(ValueType type, const Value& v) {
       return v;
   }
   return v;
+}
+
+bool IsNumeric(ValueType type) {
+  return type == ValueType::kInt || type == ValueType::kDouble ||
+         type == ValueType::kBool;
+}
+
+/// A predicate's comparison target in a column's representation.
+struct PredicateTarget {
+  Value value;
+  /// False when no cell of the column can equal the target (2.5 against an
+  /// INT column): Eq matches nothing and Ne everything.
+  bool exact = true;
+};
+
+/// The one predicate-target rule of every dictionary lookup, zone-map and
+/// bloom probe: a numeric target is coerced to a numeric column's type only
+/// when that loses nothing. A lossy target stays as given, so range
+/// predicates keep the exact bound (numbers compare by value across types).
+PredicateTarget ResolveTarget(ValueType type, const Value& v) {
+  if (v.is_null() || v.type() == type) return {v, true};
+  if (!IsNumeric(type) || !IsNumeric(v.type())) return {CoerceTo(type, v), true};
+  const double d = v.ToNumeric();
+  // Out of int64 range (or NaN): the cast itself would be undefined.
+  if (type == ValueType::kInt && !(d >= -0x1p63 && d < 0x1p63)) return {v, false};
+  Value coerced = CoerceTo(type, v);
+  if (coerced.ToNumeric() == d) return {std::move(coerced), true};
+  return {v, false};
+}
+
+/// A range predicate (Lt/Le/Gt/Ge) against one value, by Value ordering.
+bool InRange(FilterPredicate::Op op, const Value& v, const Value& target) {
+  switch (op) {
+    case FilterPredicate::Op::kLt: return v < target;
+    case FilterPredicate::Op::kLe: return !(target < v);
+    case FilterPredicate::Op::kGt: return target < v;
+    default: return !(v < target);  // kGe
+  }
+}
+
+/// Hash consistent with Value ordering equivalence (what a sorted
+/// dictionary treats as one value): numbers hash by numeric value, so an
+/// INT 2 and a DOUBLE 2.0 (or -0.0 and 0.0) hash alike. Drives both the
+/// consuming dictionaries' hash index and the bloom filters.
+uint64_t ValueHash(const Value& v) {
+  if (v.is_null()) return 0x9E3779B97F4A7C15ULL;
+  if (v.type() == ValueType::kString) return Fnv1a64(v.AsString());
+  double d = v.ToNumeric();
+  if (d == 0.0) d = 0.0;
+  uint64_t h;
+  std::memcpy(&h, &d, sizeof(h));
+  // fmix64 (MurmurHash3): small integers have all-zero low mantissa bits.
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ULL;
+  return h ^ (h >> 33);
 }
 
 /// Big-endian u32: lexicographic order of the encoded bytes equals numeric
@@ -213,20 +269,12 @@ void Segment::Column::UnpackRange(size_t start, size_t count, uint32_t* out) con
   }
 }
 
-void Segment::BuildNumericDictionaries() {
-  for (Column& column : columns_) {
-    column.dict_numeric.resize(column.dictionary.size());
-    for (size_t i = 0; i < column.dictionary.size(); ++i) {
-      column.dict_numeric[i] = column.dictionary[i].ToNumeric();
-    }
-  }
-}
-
 int64_t Segment::Column::MemoryBytes() const {
   int64_t bytes = 64;
   for (const Value& v : dictionary) bytes += ValueMemoryBytes(v);
   bytes += packed.MemoryBytes();
   bytes += static_cast<int64_t>(plain.capacity() * sizeof(uint32_t));
+  bytes += static_cast<int64_t>(id_slots.capacity() * sizeof(uint32_t));
   if (has_inverted) {
     for (const auto& list : inverted) {
       bytes += static_cast<int64_t>(list.capacity() * sizeof(uint32_t)) + 24;
@@ -235,58 +283,134 @@ int64_t Segment::Column::MemoryBytes() const {
   return bytes;
 }
 
-Result<std::shared_ptr<Segment>> Segment::Build(std::string name, RowSchema schema,
-                                                std::vector<Row> rows,
-                                                SegmentIndexConfig config) {
+size_t Segment::Column::ProbeSlot(const Value& v) const {
+  const size_t mask = id_slots.size() - 1;
+  size_t slot = ValueHash(v) & mask;
+  while (id_slots[slot] != kNoId) {
+    const Value& held = dictionary[id_slots[slot]];
+    // Value ordering equivalence: what the sorted dictionary will merge.
+    if (!(held < v) && !(v < held)) break;
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+uint32_t Segment::Column::FindOrAddId(Value v) {
+  if ((dictionary.size() + 1) * 2 > id_slots.size()) {
+    id_slots.assign(std::max<size_t>(16, id_slots.size() * 2), kNoId);
+    const size_t mask = id_slots.size() - 1;
+    for (uint32_t id = 0; id < dictionary.size(); ++id) {
+      size_t slot = ValueHash(dictionary[id]) & mask;
+      while (id_slots[slot] != kNoId) slot = (slot + 1) & mask;
+      id_slots[slot] = id;
+    }
+  }
+  const size_t slot = ProbeSlot(v);
+  if (id_slots[slot] != kNoId) return id_slots[slot];
+  const uint32_t id = static_cast<uint32_t>(dictionary.size());
+  id_slots[slot] = id;
+  dict_numeric.push_back(v.ToNumeric());
+  dictionary.push_back(std::move(v));
+  return id;
+}
+
+std::shared_ptr<Segment> Segment::Consuming(RowSchema schema) {
   auto segment = std::shared_ptr<Segment>(new Segment());
-  segment->name_ = std::move(name);
   segment->schema_ = std::move(schema);
-  segment->config_ = config;
-  const size_t num_cols = segment->schema_.NumFields();
-  for (const Row& row : rows) {
-    if (row.size() != num_cols) {
-      return Status::InvalidArgument("row width mismatch in segment build");
-    }
+  segment->consuming_ = true;
+  segment->columns_.resize(segment->schema_.NumFields());
+  for (size_t c = 0; c < segment->columns_.size(); ++c) {
+    segment->columns_[c].type = segment->schema_.fields()[c].type;
   }
+  return segment;
+}
 
-  // Sort rows by the sorted column, if any.
+Status Segment::Append(Row row) {
+  if (!consuming_) return Status::FailedPrecondition("append to a sealed segment");
+  if (row.size() != columns_.size()) {
+    return Status::InvalidArgument("row width mismatch for segment schema " +
+                                   schema_.ToString());
+  }
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    Column& column = columns_[c];
+    column.plain.push_back(column.FindOrAddId(CoerceTo(column.type, std::move(row[c]))));
+  }
+  ++num_rows_;
+  return Status::Ok();
+}
+
+Status Segment::Seal(std::string name, const SegmentIndexConfig& config) {
+  if (!consuming_) return Status::FailedPrecondition("segment already sealed");
+  int sorted_column = -1;
   if (!config.sorted_column.empty()) {
-    int idx = segment->schema_.FieldIndex(config.sorted_column);
-    if (idx < 0) return Status::InvalidArgument("sorted column not in schema");
-    segment->sorted_column_ = idx;
-    std::stable_sort(rows.begin(), rows.end(), [idx](const Row& a, const Row& b) {
-      return a[static_cast<size_t>(idx)] < b[static_cast<size_t>(idx)];
-    });
+    sorted_column = schema_.FieldIndex(config.sorted_column);
+    if (sorted_column < 0) return Status::InvalidArgument("sorted column not in schema");
   }
-  segment->num_rows_ = rows.size();
+  name_ = std::move(name);
+  config_ = config;
+  sorted_column_ = sorted_column;
+  consuming_ = false;
 
-  // Dictionary-encode each column.
-  segment->columns_.resize(num_cols);
-  for (size_t c = 0; c < num_cols; ++c) {
-    Column& column = segment->columns_[c];
-    column.type = segment->schema_.fields()[c].type;
-    std::set<Value> values;
-    for (const Row& row : rows) values.insert(CoerceTo(column.type, row[c]));
-    column.dictionary.assign(values.begin(), values.end());
-    std::vector<uint32_t> ids(rows.size());
-    for (size_t r = 0; r < rows.size(); ++r) {
-      auto it = std::lower_bound(column.dictionary.begin(), column.dictionary.end(),
-                                 CoerceTo(column.type, rows[r][c]));
-      ids[r] = static_cast<uint32_t>(it - column.dictionary.begin());
+  // Sort each dictionary and remap the forward index onto the sorted ids.
+  for (Column& column : columns_) {
+    const size_t size = column.dictionary.size();
+    std::vector<uint32_t> order(size);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return column.dictionary[a] < column.dictionary[b];
+    });
+    std::vector<uint32_t> remap(size);
+    std::vector<Value> dictionary;
+    std::vector<double> dict_numeric;
+    dictionary.reserve(size);
+    dict_numeric.reserve(size);
+    for (uint32_t id = 0; id < size; ++id) {
+      remap[order[id]] = id;
+      dictionary.push_back(std::move(column.dictionary[order[id]]));
+      dict_numeric.push_back(column.dict_numeric[order[id]]);
     }
-    uint32_t max_id =
-        column.dictionary.empty() ? 0
-                                  : static_cast<uint32_t>(column.dictionary.size() - 1);
-    if (config.bit_packed_forward_index) {
-      column.packed = BitPackedVector(ids, max_id);
-    } else {
+    column.dictionary = std::move(dictionary);
+    column.dict_numeric = std::move(dict_numeric);
+    for (uint32_t& id : column.plain) id = remap[id];
+    std::vector<uint32_t>().swap(column.id_slots);
+  }
+
+  // Sorted column: stable-reorder the rows by its (now value-ordered) ids.
+  if (sorted_column >= 0) {
+    const std::vector<uint32_t>& keys = columns_[static_cast<size_t>(sorted_column)].plain;
+    std::vector<uint32_t> rows(num_rows_);
+    std::iota(rows.begin(), rows.end(), 0u);
+    std::stable_sort(rows.begin(), rows.end(),
+                     [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
+    for (Column& column : columns_) {
+      std::vector<uint32_t> ids(num_rows_);
+      for (size_t r = 0; r < num_rows_; ++r) ids[r] = column.plain[rows[r]];
       column.plain = std::move(ids);
     }
   }
 
-  segment->BuildNumericDictionaries();
-  segment->BuildZoneMaps();
-  segment->BuildIndexes(config);
+  for (Column& column : columns_) {
+    if (config.bit_packed_forward_index) {
+      const uint32_t max_id =
+          column.dictionary.empty() ? 0
+                                    : static_cast<uint32_t>(column.dictionary.size() - 1);
+      column.packed = BitPackedVector(column.plain, max_id);
+      std::vector<uint32_t>().swap(column.plain);
+    } else {
+      column.plain.shrink_to_fit();
+    }
+  }
+  BuildZoneMaps();
+  BuildIndexes(config);
+  return Status::Ok();
+}
+
+Result<std::shared_ptr<Segment>> Segment::Build(std::string name, RowSchema schema,
+                                                std::vector<Row> rows,
+                                                SegmentIndexConfig config) {
+  std::shared_ptr<Segment> segment = Consuming(std::move(schema));
+  for (Row& row : rows) UBERRT_RETURN_IF_ERROR(segment->Append(std::move(row)));
+  UBERRT_RETURN_IF_ERROR(segment->Seal(std::move(name), config));
   return segment;
 }
 
@@ -377,6 +501,13 @@ Value Segment::GetValue(size_t row_index, int column_index) const {
   return column.dictionary[column.IdAt(row_index)];
 }
 
+std::pair<double, double> Segment::NumericBounds(int column_index) const {
+  const std::vector<double>& values = columns_[static_cast<size_t>(column_index)].dict_numeric;
+  if (values.empty()) return {0.0, 0.0};
+  auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+  return {*lo, *hi};
+}
+
 Row Segment::GetRow(size_t row_index) const {
   Row row;
   row.reserve(columns_.size());
@@ -414,19 +545,43 @@ constexpr size_t kBloomMinCardinality = 64;
 /// Filter bits per distinct value (2 probes -> ~5% false positives).
 constexpr uint64_t kBloomBitsPerValue = 8;
 
-uint64_t BloomHash(const Value& v) { return Fnv1a64(EncodeRow({v})); }
-
-}  // namespace
-
-bool Segment::ZoneMap::MayContain(uint64_t hash) const {
+/// Bloom membership probe; an empty filter answers "maybe". Hashes with
+/// ValueHash, as BuildZoneMaps does over the dictionary's own values.
+bool BloomMayContain(const std::vector<uint64_t>& bloom, uint64_t mask,
+                     const Value& v) {
   if (bloom.empty()) return true;
+  uint64_t hash = ValueHash(v);
   uint64_t h2 = (hash >> 32) | 1;
   for (uint64_t probe = 0; probe < 2; ++probe) {
-    uint64_t bit = (hash + probe * h2) & bloom_mask;
+    uint64_t bit = (hash + probe * h2) & mask;
     if ((bloom[bit >> 6] & (1ULL << (bit & 63))) == 0) return false;
   }
   return true;
 }
+
+/// Zone-map test shared by the hot and the detached (warm/cold) pruning
+/// probes: false means no value in [lo, hi] — and, for Eq, none the bloom
+/// admits — can satisfy `op` against `target`.
+bool ZoneCanMatch(FilterPredicate::Op op, const PredicateTarget& target,
+                  const Value& lo, const Value& hi,
+                  const std::vector<uint64_t>& bloom, uint64_t bloom_mask) {
+  const Value& t = target.value;
+  switch (op) {
+    case FilterPredicate::Op::kEq:
+      return target.exact && !(t < lo) && !(hi < t) &&
+             BloomMayContain(bloom, bloom_mask, t);
+    case FilterPredicate::Op::kNe:
+      // Prunable only when every row holds exactly the target (min == max).
+      return !target.exact || lo < hi || lo < t || t < lo;
+    case FilterPredicate::Op::kLt: return lo < t;
+    case FilterPredicate::Op::kLe: return !(t < lo);
+    case FilterPredicate::Op::kGt: return t < hi;
+    case FilterPredicate::Op::kGe: return !(hi < t);
+  }
+  return true;
+}
+
+}  // namespace
 
 void Segment::BuildZoneMaps(bool keep_blooms) {
   if (!keep_blooms) zones_.clear();
@@ -447,7 +602,7 @@ void Segment::BuildZoneMaps(bool keep_blooms) {
     zone.bloom_mask = bits - 1;
     zone.bloom.assign(bits / 64, 0);
     for (const Value& v : column.dictionary) {
-      uint64_t hash = BloomHash(v);
+      uint64_t hash = ValueHash(v);
       uint64_t h2 = (hash >> 32) | 1;
       for (uint64_t probe = 0; probe < 2; ++probe) {
         uint64_t bit = (hash + probe * h2) & zone.bloom_mask;
@@ -464,33 +619,17 @@ bool Segment::CanMatch(const FilterPredicate& pred) const {
   const Column& column = columns_[static_cast<size_t>(idx)];
   const ZoneMap& zone = zones_[static_cast<size_t>(idx)];
   if (column.dictionary.empty()) return false;  // no rows, nothing matches
-  // Coerce exactly like PredicateIdRange so pruning can never disagree with
+  // Same target rule as PredicateIds, so pruning never disagrees with
   // execution.
-  Value target = CoerceTo(column.type, pred.value);
-  const Value& lo = zone.min;
-  const Value& hi = zone.max;
-  switch (pred.op) {
-    case FilterPredicate::Op::kEq: {
-      if (target < lo || hi < target) return false;
-      if (!zone.MayContain(BloomHash(target))) return false;
-      // The dictionary is resident, so back the bloom's "maybe" with the
-      // exact membership answer.
-      return std::binary_search(column.dictionary.begin(),
-                                column.dictionary.end(), target);
-    }
-    case FilterPredicate::Op::kNe:
-      // Prunable only when every row holds exactly the target value.
-      return !(column.dictionary.size() == 1 && !(lo < target) && !(target < lo));
-    case FilterPredicate::Op::kLt:
-      return lo < target;
-    case FilterPredicate::Op::kLe:
-      return !(target < lo);
-    case FilterPredicate::Op::kGt:
-      return target < hi;
-    case FilterPredicate::Op::kGe:
-      return !(hi < target);
+  const PredicateTarget target = ResolveTarget(column.type, pred.value);
+  if (!ZoneCanMatch(pred.op, target, zone.min, zone.max, zone.bloom, zone.bloom_mask)) {
+    return false;
   }
-  return true;
+  // The dictionary is resident, so back the bloom's "maybe" with the exact
+  // membership answer.
+  return pred.op != FilterPredicate::Op::kEq ||
+         std::binary_search(column.dictionary.begin(), column.dictionary.end(),
+                            target.value);
 }
 
 // --- Detached prune info (warm/cold tiers) ----------------------------------
@@ -505,38 +644,11 @@ bool SegmentPruneInfo::CanMatch(const FilterPredicate& pred) const {
   }
   if (col == nullptr) return true;  // unknown column: execution reports it
   if (!col->any_rows) return false;
-  Value target = CoerceTo(col->type, pred.value);
-  const Value& lo = col->min;
-  const Value& hi = col->max;
-  switch (pred.op) {
-    case FilterPredicate::Op::kEq: {
-      if (target < lo || hi < target) return false;
-      // Bloom-only membership — no resident dictionary to back the "maybe"
-      // with an exact answer, so a false positive scans a segment the hot
-      // check would have pruned; never the reverse.
-      if (!col->bloom.empty()) {
-        uint64_t hash = BloomHash(target);
-        uint64_t h2 = (hash >> 32) | 1;
-        for (uint64_t probe = 0; probe < 2; ++probe) {
-          uint64_t bit = (hash + probe * h2) & col->bloom_mask;
-          if ((col->bloom[bit >> 6] & (1ULL << (bit & 63))) == 0) return false;
-        }
-      }
-      return true;
-    }
-    case FilterPredicate::Op::kNe:
-      // min == max means every row holds exactly the one distinct value.
-      return !(!(lo < hi) && !(hi < lo) && !(lo < target) && !(target < lo));
-    case FilterPredicate::Op::kLt:
-      return lo < target;
-    case FilterPredicate::Op::kLe:
-      return !(target < lo);
-    case FilterPredicate::Op::kGt:
-      return target < hi;
-    case FilterPredicate::Op::kGe:
-      return !(hi < target);
-  }
-  return true;
+  // Bloom-only membership — no resident dictionary to back the "maybe" with
+  // an exact answer, so a false positive scans a segment the hot check
+  // would have pruned; never the reverse.
+  return ZoneCanMatch(pred.op, ResolveTarget(col->type, pred.value), col->min,
+                      col->max, col->bloom, col->bloom_mask);
 }
 
 int64_t SegmentPruneInfo::MemoryBytes() const {
@@ -572,32 +684,72 @@ SegmentPruneInfo Segment::BuildPruneInfo() const {
 
 // --- Filtering -------------------------------------------------------------
 
-Result<std::pair<uint32_t, uint32_t>> Segment::PredicateIdRange(
-    const Column& column, const FilterPredicate& pred) const {
-  Value target = CoerceTo(column.type, pred.value);
-  auto lo_it = std::lower_bound(column.dictionary.begin(), column.dictionary.end(),
-                                target);
-  auto hi_it = std::upper_bound(column.dictionary.begin(), column.dictionary.end(),
-                                target);
-  uint32_t lo = static_cast<uint32_t>(lo_it - column.dictionary.begin());
-  uint32_t hi = static_cast<uint32_t>(hi_it - column.dictionary.begin());
-  uint32_t n = static_cast<uint32_t>(column.dictionary.size());
-  switch (pred.op) {
-    case FilterPredicate::Op::kEq: return std::make_pair(lo, hi);
-    case FilterPredicate::Op::kLt: return std::make_pair(0u, lo);
-    case FilterPredicate::Op::kLe: return std::make_pair(0u, hi);
-    case FilterPredicate::Op::kGt: return std::make_pair(hi, n);
-    case FilterPredicate::Op::kGe: return std::make_pair(lo, n);
-    case FilterPredicate::Op::kNe:
-      return Status::InvalidArgument("kNe has no contiguous id range");
+Segment::IdSet Segment::PredicateIds(const Column& column,
+                                     const FilterPredicate& pred) const {
+  const PredicateTarget target = ResolveTarget(column.type, pred.value);
+  const bool eq = pred.op == FilterPredicate::Op::kEq || pred.op == FilterPredicate::Op::kNe;
+  if (eq && !target.exact) return {};
+  const std::vector<Value>& dictionary = column.dictionary;
+  if (consuming_) {
+    // Unsorted dictionary: one hash lookup for equality, one pass over the
+    // dictionary into an id match table otherwise.
+    if (eq) {
+      const uint32_t id =
+          column.id_slots.empty() ? kNoId : column.id_slots[column.ProbeSlot(target.value)];
+      if (id == kNoId) return {};
+      return {id, id + 1, {}};
+    }
+    IdSet ids;
+    ids.table.resize(dictionary.size());
+    bool any = false;
+    for (size_t id = 0; id < dictionary.size(); ++id) {
+      ids.table[id] = InRange(pred.op, dictionary[id], target.value) ? 1 : 0;
+      any = any || ids.table[id] != 0;
+    }
+    if (!any) return {};
+    return ids;
   }
-  return Status::Internal("bad predicate op");
+  const uint32_t lo = static_cast<uint32_t>(
+      std::lower_bound(dictionary.begin(), dictionary.end(), target.value) -
+      dictionary.begin());
+  const uint32_t hi = static_cast<uint32_t>(
+      std::upper_bound(dictionary.begin(), dictionary.end(), target.value) -
+      dictionary.begin());
+  const uint32_t n = static_cast<uint32_t>(dictionary.size());
+  switch (pred.op) {
+    case FilterPredicate::Op::kEq:
+    case FilterPredicate::Op::kNe: return {lo, hi, {}};
+    case FilterPredicate::Op::kLt: return {0, lo, {}};
+    case FilterPredicate::Op::kLe: return {0, hi, {}};
+    case FilterPredicate::Op::kGt: return {hi, n, {}};
+    case FilterPredicate::Op::kGe: return {lo, n, {}};
+  }
+  return {};
+}
+
+std::pair<size_t, size_t> Segment::SortedRowRange(const Column& column,
+                                                  const IdSet& ids) const {
+  // Ids are non-decreasing with row index, so binary search both ends.
+  auto first_row_at_least = [&](uint32_t id) {
+    size_t a = 0, b = num_rows_;
+    while (a < b) {
+      size_t mid = (a + b) / 2;
+      if (column.IdAt(mid) < id) a = mid + 1; else b = mid;
+    }
+    return a;
+  };
+  return {first_row_at_least(ids.lo), first_row_at_least(ids.hi)};
 }
 
 Result<std::vector<uint32_t>> Segment::FilterRows(
     const std::vector<FilterPredicate>& preds, bool* all, int64_t* rows_scanned) const {
   *all = false;
-  std::vector<const FilterPredicate*> scan_preds;
+  struct ScanPred {
+    const Column* column;
+    IdSet ids;
+    bool negate;
+  };
+  std::vector<ScanPred> scan_preds;
   std::vector<uint32_t> candidates;
   bool have_candidates = false;
 
@@ -617,33 +769,14 @@ Result<std::vector<uint32_t>> Segment::FilterRows(
     int idx = ColumnIndex(pred.column);
     if (idx < 0) return Status::InvalidArgument("unknown column: " + pred.column);
     const Column& column = columns_[static_cast<size_t>(idx)];
+    IdSet ids = PredicateIds(column, pred);
     if (pred.op == FilterPredicate::Op::kNe) {
-      scan_preds.push_back(&pred);
+      scan_preds.push_back({&column, std::move(ids), true});
       continue;
     }
-    Result<std::pair<uint32_t, uint32_t>> range = PredicateIdRange(column, pred);
-    if (!range.ok()) return range.status();
-    auto [lo, hi] = range.value();
-    if (lo >= hi) return std::vector<uint32_t>{};  // no dictionary match
+    if (ids.None()) return std::vector<uint32_t>{};  // no dictionary match
     if (idx == sorted_column_) {
-      // Sorted column: rows with ids in [lo,hi) are contiguous; binary
-      // search the row range.
-      size_t row_lo = 0, row_hi = num_rows_;
-      {
-        size_t a = 0, b = num_rows_;
-        while (a < b) {
-          size_t mid = (a + b) / 2;
-          if (column.IdAt(mid) < lo) a = mid + 1; else b = mid;
-        }
-        row_lo = a;
-        a = row_lo;
-        b = num_rows_;
-        while (a < b) {
-          size_t mid = (a + b) / 2;
-          if (column.IdAt(mid) < hi) a = mid + 1; else b = mid;
-        }
-        row_hi = a;
-      }
+      auto [row_lo, row_hi] = SortedRowRange(column, ids);
       std::vector<uint32_t> rows;
       rows.reserve(row_hi - row_lo);
       for (size_t r = row_lo; r < row_hi; ++r) rows.push_back(static_cast<uint32_t>(r));
@@ -652,30 +785,19 @@ Result<std::vector<uint32_t>> Segment::FilterRows(
       // Inverted index: union of the posting lists in the id range. This is
       // also how range predicates are served ("range index").
       std::vector<uint32_t> rows;
-      for (uint32_t id = lo; id < hi; ++id) {
+      for (uint32_t id = ids.lo; id < ids.hi; ++id) {
         rows.insert(rows.end(), column.inverted[id].begin(), column.inverted[id].end());
       }
       std::sort(rows.begin(), rows.end());
       intersect(std::move(rows));
     } else {
-      scan_preds.push_back(&pred);
+      scan_preds.push_back({&column, std::move(ids), false});
     }
   }
 
   auto matches_scan = [&](uint32_t r) {
-    for (const FilterPredicate* pred : scan_preds) {
-      int idx = ColumnIndex(pred->column);
-      const Column& column = columns_[static_cast<size_t>(idx)];
-      uint32_t id = column.IdAt(r);
-      if (pred->op == FilterPredicate::Op::kNe) {
-        Value target = CoerceTo(column.type, pred->value);
-        const Value& v = column.dictionary[id];
-        if (!(v < target) && !(target < v)) return false;  // equal -> excluded
-      } else {
-        Result<std::pair<uint32_t, uint32_t>> range = PredicateIdRange(column, *pred);
-        auto [lo, hi] = range.value();
-        if (id < lo || id >= hi) return false;
-      }
+    for (const ScanPred& sp : scan_preds) {
+      if (sp.ids.Contains(sp.column->IdAt(r)) == sp.negate) return false;
     }
     return true;
   };
@@ -709,7 +831,7 @@ Result<OlapResult> Segment::Execute(const OlapQuery& query,
   if (lazy_ != nullptr) {
     UBERRT_RETURN_IF_ERROR(EnsureForQuery(query, stats));
   }
-  ++stats->segments_scanned;
+  if (!consuming_) ++stats->segments_scanned;
   if (query.force_scalar) return ExecuteScalar(query, validity, stats);
   if (!query.aggregations.empty()) {
     OlapResult result;
@@ -923,102 +1045,11 @@ Status ParseSegmentHeader(const std::string& blob, size_t* pos,
 
 }  // namespace
 
-Result<std::shared_ptr<Segment>> Segment::Deserialize(const std::string& blob) {
+Result<std::shared_ptr<Segment>> Segment::OpenBlob(const std::string& data,
+                                                   size_t offset,
+                                                   std::vector<LazyColumn>* layout,
+                                                   size_t* end) {
   auto corrupt = [] { return Status::Corruption("segment blob truncated"); };
-  size_t pos = 0;
-  SegmentHeaderInfo header;
-  UBERRT_RETURN_IF_ERROR(ParseSegmentHeader(blob, &pos, &header));
-  const uint32_t num_fields = static_cast<uint32_t>(header.fields.size());
-  const uint64_t num_rows = header.num_rows;
-  const SegmentIndexConfig& config = header.config;
-
-  auto segment = std::shared_ptr<Segment>(new Segment());
-  segment->name_ = std::move(header.name);
-  segment->schema_ = RowSchema(header.fields);
-  segment->num_rows_ = num_rows;
-  segment->config_ = config;
-  segment->sorted_column_ = config.sorted_column.empty()
-                                ? -1
-                                : segment->schema_.FieldIndex(config.sorted_column);
-  segment->columns_.resize(num_fields);
-  constexpr size_t kBatch = 1024;
-  std::vector<uint32_t> batch(kBatch);
-  for (uint32_t c = 0; c < num_fields; ++c) {
-    Column& column = segment->columns_[c];
-    column.type = header.fields[c].type;
-    std::string dict_blob;
-    if (!ReadString(blob, &pos, &dict_blob)) return corrupt();
-    Result<Row> dict = DecodeRow(dict_blob);
-    if (!dict.ok()) return dict.status();
-    column.dictionary = std::move(dict.value());
-    const uint32_t dict_size = static_cast<uint32_t>(column.dictionary.size());
-    if (!config.bit_packed_forward_index) {
-      if (num_rows > (blob.size() - pos) / 4) return corrupt();
-      column.plain.resize(num_rows);
-      for (uint64_t r = 0; r < num_rows; ++r) {
-        if (!ReadU32(blob, &pos, &column.plain[r])) return corrupt();
-        if (column.plain[r] >= dict_size) {
-          return Status::Corruption("segment blob: dict id out of range");
-        }
-      }
-    } else {
-      uint32_t bits;
-      uint64_t num_words;
-      if (!ReadU32(blob, &pos, &bits)) return corrupt();
-      if (!ReadU64(blob, &pos, &num_words)) return corrupt();
-      if (num_words > (blob.size() - pos) / 8) return corrupt();
-      std::vector<uint64_t> words(num_words);
-      for (uint64_t w = 0; w < num_words; ++w) {
-        if (!ReadU64(blob, &pos, &words[w])) return corrupt();
-      }
-      // Adopt the serialized words directly (no unpack/repack round trip),
-      // then batch-decode once to validate every id against the dictionary
-      // so hostile blobs can't drive out-of-range lookups later.
-      Result<BitPackedVector> packed =
-          BitPackedVector::FromWords(static_cast<int>(bits), num_rows, std::move(words));
-      if (!packed.ok()) return packed.status();
-      column.packed = std::move(packed.value());
-      for (uint64_t base = 0; base < num_rows; base += kBatch) {
-        size_t count = static_cast<size_t>(std::min<uint64_t>(kBatch, num_rows - base));
-        column.packed.Unpack(base, count, batch.data());
-        for (size_t i = 0; i < count; ++i) {
-          if (batch[i] >= dict_size) {
-            return Status::Corruption("segment blob: dict id out of range");
-          }
-        }
-      }
-    }
-  }
-  // Bloom words are adopted as serialized (hostile geometry rejected);
-  // min/max come from the dictionaries.
-  segment->zones_.resize(num_fields);
-  for (uint32_t c = 0; c < num_fields; ++c) {
-    ZoneMap& zone = segment->zones_[c];
-    uint64_t mask, num_words;
-    if (!ReadU64(blob, &pos, &mask)) return corrupt();
-    if (!ReadU64(blob, &pos, &num_words)) return corrupt();
-    if (num_words > (blob.size() - pos) / 8) return corrupt();
-    const uint64_t bits = num_words * 64;
-    if ((num_words == 0 && mask != 0) ||
-        (num_words > 0 && (mask != bits - 1 || (bits & (bits - 1)) != 0))) {
-      return Status::Corruption("segment blob: bad bloom geometry");
-    }
-    zone.bloom_mask = mask;
-    zone.bloom.resize(num_words);
-    for (uint64_t w = 0; w < num_words; ++w) {
-      if (!ReadU64(blob, &pos, &zone.bloom[w])) return corrupt();
-    }
-  }
-  segment->BuildNumericDictionaries();
-  segment->BuildZoneMaps(/*keep_blooms=*/true);
-  segment->BuildIndexes(config);
-  return segment;
-}
-
-Result<std::shared_ptr<Segment>> Segment::DeserializeLazy(
-    std::shared_ptr<const std::string> blob, size_t offset) {
-  auto corrupt = [] { return Status::Corruption("segment blob truncated"); };
-  const std::string& data = *blob;
   size_t pos = offset;
   SegmentHeaderInfo header;
   UBERRT_RETURN_IF_ERROR(ParseSegmentHeader(data, &pos, &header));
@@ -1034,17 +1065,10 @@ Result<std::shared_ptr<Segment>> Segment::DeserializeLazy(
           ? -1
           : segment->schema_.FieldIndex(header.config.sorted_column);
   segment->columns_.resize(num_fields);
-
-  auto lazy = std::make_unique<LazySource>();
-  lazy->blob = blob;
-  lazy->base_offset = offset;
-  lazy->columns.resize(num_fields);
-  lazy->decoded.assign(num_fields, false);
-  // One structural pass: record where each column's payload lives (so a
-  // truncated blob fails here, not mid-query) without decoding anything.
+  layout->assign(num_fields, LazyColumn{});
   for (size_t c = 0; c < num_fields; ++c) {
     segment->columns_[c].type = header.fields[c].type;
-    LazyColumn& lc = lazy->columns[c];
+    LazyColumn& lc = (*layout)[c];
     lc.dict_pos = pos;
     uint32_t dict_len;
     if (!ReadU32(data, &pos, &dict_len)) return corrupt();
@@ -1062,6 +1086,104 @@ Result<std::shared_ptr<Segment>> Segment::DeserializeLazy(
       pos += static_cast<size_t>(lc.num_words) * 8;
     }
   }
+  *end = pos;
+  return segment;
+}
+
+Status Segment::DecodeColumn(const std::string& data, const LazyColumn& layout,
+                             Column* column) const {
+  auto corrupt = [] { return Status::Corruption("segment blob truncated"); };
+  auto bad_id = [] { return Status::Corruption("segment blob: dict id out of range"); };
+  size_t pos = layout.dict_pos;
+  std::string dict_blob;
+  if (!ReadString(data, &pos, &dict_blob)) return corrupt();
+  Result<Row> dict = DecodeRow(dict_blob);
+  if (!dict.ok()) return dict.status();
+  column->dictionary = std::move(dict.value());
+  const uint32_t dict_size = static_cast<uint32_t>(column->dictionary.size());
+  if (!config_.bit_packed_forward_index) {
+    pos = layout.plain_pos;
+    column->plain.resize(num_rows_);
+    for (size_t r = 0; r < num_rows_; ++r) {
+      if (!ReadU32(data, &pos, &column->plain[r])) return corrupt();
+      if (column->plain[r] >= dict_size) return bad_id();
+    }
+  } else {
+    pos = layout.words_pos;
+    std::vector<uint64_t> words(static_cast<size_t>(layout.num_words));
+    for (uint64_t& w : words) {
+      if (!ReadU64(data, &pos, &w)) return corrupt();
+    }
+    // Adopt the serialized words directly (no unpack/repack round trip),
+    // then batch-decode once to validate every id against the dictionary
+    // so hostile blobs can't drive out-of-range lookups later.
+    Result<BitPackedVector> packed = BitPackedVector::FromWords(
+        static_cast<int>(layout.bits), num_rows_, std::move(words));
+    if (!packed.ok()) return packed.status();
+    column->packed = std::move(packed.value());
+    constexpr size_t kBatch = 1024;
+    std::vector<uint32_t> batch(std::min(kBatch, std::max<size_t>(num_rows_, 1)));
+    for (size_t base = 0; base < num_rows_; base += kBatch) {
+      size_t count = std::min(kBatch, num_rows_ - base);
+      column->packed.Unpack(base, count, batch.data());
+      for (size_t i = 0; i < count; ++i) {
+        if (batch[i] >= dict_size) return bad_id();
+      }
+    }
+  }
+  column->dict_numeric.resize(column->dictionary.size());
+  for (size_t i = 0; i < column->dictionary.size(); ++i) {
+    column->dict_numeric[i] = column->dictionary[i].ToNumeric();
+  }
+  return Status::Ok();
+}
+
+Result<std::shared_ptr<Segment>> Segment::Deserialize(const std::string& blob) {
+  auto corrupt = [] { return Status::Corruption("segment blob truncated"); };
+  std::vector<LazyColumn> layout;
+  size_t pos = 0;
+  Result<std::shared_ptr<Segment>> opened = OpenBlob(blob, 0, &layout, &pos);
+  if (!opened.ok()) return opened.status();
+  std::shared_ptr<Segment> segment = std::move(opened.value());
+  const size_t num_fields = segment->columns_.size();
+  for (size_t c = 0; c < num_fields; ++c) {
+    UBERRT_RETURN_IF_ERROR(segment->DecodeColumn(blob, layout[c], &segment->columns_[c]));
+  }
+  // Bloom words are adopted as serialized (hostile geometry rejected);
+  // min/max come from the dictionaries.
+  segment->zones_.resize(num_fields);
+  for (size_t c = 0; c < num_fields; ++c) {
+    ZoneMap& zone = segment->zones_[c];
+    uint64_t mask, num_words;
+    if (!ReadU64(blob, &pos, &mask)) return corrupt();
+    if (!ReadU64(blob, &pos, &num_words)) return corrupt();
+    if (num_words > (blob.size() - pos) / 8) return corrupt();
+    const uint64_t bits = num_words * 64;
+    if ((num_words == 0 && mask != 0) ||
+        (num_words > 0 && (mask != bits - 1 || (bits & (bits - 1)) != 0))) {
+      return Status::Corruption("segment blob: bad bloom geometry");
+    }
+    zone.bloom_mask = mask;
+    zone.bloom.resize(num_words);
+    for (uint64_t w = 0; w < num_words; ++w) {
+      if (!ReadU64(blob, &pos, &zone.bloom[w])) return corrupt();
+    }
+  }
+  segment->BuildZoneMaps(/*keep_blooms=*/true);
+  segment->BuildIndexes(segment->config_);
+  return segment;
+}
+
+Result<std::shared_ptr<Segment>> Segment::DeserializeLazy(
+    std::shared_ptr<const std::string> blob, size_t offset) {
+  auto lazy = std::make_unique<LazySource>();
+  size_t end = 0;
+  Result<std::shared_ptr<Segment>> opened = OpenBlob(*blob, offset, &lazy->columns, &end);
+  if (!opened.ok()) return opened.status();
+  std::shared_ptr<Segment> segment = std::move(opened.value());
+  lazy->blob = std::move(blob);
+  lazy->base_offset = offset;
+  lazy->decoded.assign(segment->columns_.size(), false);
   // The trailing bloom sections are deliberately not parsed: a lazy segment
   // carries no zone maps (CanMatch degrades to conservative-true); the
   // detached SegmentPruneInfo on its handle does the real plan-time pruning.
@@ -1072,59 +1194,12 @@ Result<std::shared_ptr<Segment>> Segment::DeserializeLazy(
 Status Segment::EnsureColumnIndexes(const std::vector<int>& indexes,
                                     OlapQueryStats* stats) const {
   if (lazy_ == nullptr) return Status::Ok();
-  auto corrupt = [] { return Status::Corruption("segment blob truncated"); };
-  const std::string& data = *lazy_->blob;
   std::lock_guard<std::mutex> lock(lazy_->mu);
-  constexpr size_t kBatch = 1024;
-  std::vector<uint32_t> batch;
   for (int idx : indexes) {
     if (idx < 0 || static_cast<size_t>(idx) >= columns_.size()) continue;
     const size_t c = static_cast<size_t>(idx);
     if (lazy_->decoded[c]) continue;
-    Column& column = columns_[c];
-    const LazyColumn& lc = lazy_->columns[c];
-    size_t pos = lc.dict_pos;
-    std::string dict_blob;
-    if (!ReadString(data, &pos, &dict_blob)) return corrupt();
-    Result<Row> dict = DecodeRow(dict_blob);
-    if (!dict.ok()) return dict.status();
-    column.dictionary = std::move(dict.value());
-    const uint32_t dict_size = static_cast<uint32_t>(column.dictionary.size());
-    if (!config_.bit_packed_forward_index) {
-      pos = lc.plain_pos;
-      column.plain.resize(num_rows_);
-      for (size_t r = 0; r < num_rows_; ++r) {
-        if (!ReadU32(data, &pos, &column.plain[r])) return corrupt();
-        if (column.plain[r] >= dict_size) {
-          return Status::Corruption("segment blob: dict id out of range");
-        }
-      }
-    } else {
-      pos = lc.words_pos;
-      std::vector<uint64_t> words(static_cast<size_t>(lc.num_words));
-      for (uint64_t w = 0; w < lc.num_words; ++w) {
-        if (!ReadU64(data, &pos, &words[w])) return corrupt();
-      }
-      Result<BitPackedVector> packed = BitPackedVector::FromWords(
-          static_cast<int>(lc.bits), num_rows_, std::move(words));
-      if (!packed.ok()) return packed.status();
-      column.packed = std::move(packed.value());
-      // Same hostile-id validation as the eager decoder.
-      if (batch.empty()) batch.resize(std::min(kBatch, std::max<size_t>(num_rows_, 1)));
-      for (size_t base = 0; base < num_rows_; base += kBatch) {
-        size_t count = std::min(kBatch, num_rows_ - base);
-        column.packed.Unpack(base, count, batch.data());
-        for (size_t i = 0; i < count; ++i) {
-          if (batch[i] >= dict_size) {
-            return Status::Corruption("segment blob: dict id out of range");
-          }
-        }
-      }
-    }
-    column.dict_numeric.resize(column.dictionary.size());
-    for (size_t i = 0; i < column.dictionary.size(); ++i) {
-      column.dict_numeric[i] = column.dictionary[i].ToNumeric();
-    }
+    UBERRT_RETURN_IF_ERROR(DecodeColumn(*lazy_->blob, lazy_->columns[c], &columns_[c]));
     lazy_->decoded[c] = true;
     if (stats != nullptr) ++stats->columns_materialized;
   }

@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -99,9 +100,18 @@ class SegmentPruneInfo {
   std::vector<ColumnPrune> columns_;
 };
 
-/// Immutable columnar segment: dictionary-encoded columns with a bit-packed
-/// forward index and the optional indexes above. Built once from rows,
-/// then served concurrently (read-only).
+/// Columnar segment: dictionary-encoded columns with a bit-packed forward
+/// index and the optional indexes above, served concurrently (read-only).
+///
+/// Every segment starts *consuming* (paper Section 4.3: realtime servers
+/// answer queries from the segment while it fills). A consuming segment
+/// grows one row at a time: each column keeps an append-only dictionary in
+/// first-seen order, a value -> id hash index and a plain u32 id forward
+/// index, so Append costs one hash probe per column. Seal sorts each
+/// dictionary, remaps and bit-packs the ids and builds the configured
+/// indexes; after that the segment is immutable. Both states run through
+/// the same Execute engine: predicates on an unsorted dictionary resolve to
+/// dict ids before the scan (see IdSet).
 ///
 /// A segment can also be opened *lazily* over a serialized blob
 /// (DeserializeLazy): only the header is parsed up front and each column's
@@ -110,10 +120,23 @@ class SegmentPruneInfo {
 /// readers that Ensure'd their columns proceed lock-free afterwards).
 class Segment {
  public:
-  /// Builds a segment; rows are reordered if a sorted column is configured.
+  /// Builds a sealed segment: appends every row to a consuming segment, then
+  /// seals it (rows are reordered if a sorted column is configured).
   static Result<std::shared_ptr<Segment>> Build(std::string name, RowSchema schema,
                                                 std::vector<Row> rows,
                                                 SegmentIndexConfig config);
+
+  /// An empty consuming segment (no name until Seal).
+  static std::shared_ptr<Segment> Consuming(RowSchema schema);
+  /// Appends one row to a consuming segment: each cell is coerced to its
+  /// column type, found or added in the column's dictionary by one hash
+  /// probe, and its dict id pushed onto the forward index. O(columns).
+  Status Append(Row row);
+  /// Seals a consuming segment in place: sorts each dictionary, remaps the
+  /// ids (reordering rows by the sorted column, if any), bit-packs them and
+  /// builds zone maps and the configured indexes. Fails without touching
+  /// the segment when the sorted column is not in the schema.
+  Status Seal(std::string name, const SegmentIndexConfig& config);
 
   const std::string& name() const { return name_; }
   const RowSchema& schema() const { return schema_; }
@@ -123,6 +146,9 @@ class Segment {
   Row GetRow(size_t row_index) const;
   /// One cell.
   Value GetValue(size_t row_index, int column_index) const;
+  /// Smallest and largest value of a column as numbers (null reads as 0),
+  /// read off its dictionary; {0, 0} for an empty segment.
+  std::pair<double, double> NumericBounds(int column_index) const;
 
   /// Executes filter+aggregate/select on this segment. `validity` (may be
   /// null) marks rows superseded by upserts; invalid rows are skipped.
@@ -134,6 +160,7 @@ class Segment {
   /// selection bitmaps + batched forward-index decode + typed (dict-id
   /// native) aggregation kernels. `query.force_scalar` runs the
   /// row-at-a-time oracle instead (no star-tree, per-value decode).
+  /// `stats->segments_scanned` counts sealed segments only.
   Result<OlapResult> Execute(const OlapQuery& query,
                              const std::vector<bool>* validity,
                              OlapQueryStats* stats) const;
@@ -183,14 +210,19 @@ class Segment {
 
   struct Column {
     ValueType type = ValueType::kNull;
-    std::vector<Value> dictionary;  ///< sorted
-    /// dict id -> ToNumeric(), built once per segment so the aggregation
+    /// Sorted once sealed; first-seen order while consuming.
+    std::vector<Value> dictionary;
+    /// dict id -> ToNumeric(), extended as values arrive so the aggregation
     /// kernels never construct a Value on the scan path.
     std::vector<double> dict_numeric;
     BitPackedVector packed;         ///< dict ids per row (when packing on)
-    std::vector<uint32_t> plain;    ///< dict ids per row (packing off)
+    /// dict ids per row: packing off, or any consuming segment.
+    std::vector<uint32_t> plain;
     bool has_inverted = false;
     std::vector<std::vector<uint32_t>> inverted;  ///< dict id -> sorted row ids
+    /// Consuming only: value -> dict id hash index (open addressing, linear
+    /// probing, power-of-two size at most half full; kNoId = empty slot).
+    std::vector<uint32_t> id_slots;
 
     uint32_t IdAt(size_t row) const {
       return plain.empty() ? packed.Get(row) : plain[row];
@@ -198,6 +230,26 @@ class Segment {
     /// Batch decode of rows [start, start+count) into `out`.
     void UnpackRange(size_t start, size_t count, uint32_t* out) const;
     int64_t MemoryBytes() const;
+    /// Dict id of `v`, appending it to the dictionary when new.
+    uint32_t FindOrAddId(Value v);
+    /// id_slots index holding `v`, or the empty slot where it belongs.
+    size_t ProbeSlot(const Value& v) const;
+  };
+  static constexpr uint32_t kNoId = 0xFFFFFFFFu;
+
+  /// The dict ids a predicate selects: the range [lo, hi), or — a range
+  /// predicate over a consuming segment's unsorted dictionary — the ids
+  /// whose `table` entry is set (one pass over the dictionary). Eq on either
+  /// kind of dictionary is a range of 0 or 1 id.
+  struct IdSet {
+    uint32_t lo = 0;
+    uint32_t hi = 0;
+    std::vector<uint8_t> table;  ///< per dict id; empty = use [lo, hi)
+
+    bool None() const { return table.empty() && lo >= hi; }
+    bool Contains(uint32_t id) const {
+      return table.empty() ? id >= lo && id < hi : table[id] != 0;
+    }
   };
 
   /// Per-column pruning metadata, computed at seal (Build) and carried
@@ -212,8 +264,6 @@ class Segment {
     Value max;
     std::vector<uint64_t> bloom;  ///< empty = no bloom (low cardinality)
     uint64_t bloom_mask = 0;      ///< bit count - 1 (bit count is a power of 2)
-
-    bool MayContain(uint64_t hash) const;
   };
 
   /// One star-tree level: the cube cells of one dimension-prefix length k,
@@ -246,6 +296,18 @@ class Segment {
     std::vector<bool> decoded;  // guarded by mu
   };
 
+  /// Parses the header and records where each column's payload lives
+  /// (so a truncated blob fails here, not mid-query) without decoding any
+  /// column. `*end` receives the offset of the trailing bloom sections.
+  static Result<std::shared_ptr<Segment>> OpenBlob(const std::string& data,
+                                                   size_t offset,
+                                                   std::vector<LazyColumn>* layout,
+                                                   size_t* end);
+  /// Decodes one column's dictionary + forward index at `layout`, rejecting
+  /// dict ids outside the dictionary, and fills its dict_numeric table. The
+  /// single column decoder of both the eager and the lazy open.
+  Status DecodeColumn(const std::string& data, const LazyColumn& layout,
+                      Column* column) const;
   /// Decodes the given columns if still lazy; counts each actual decode
   /// into `stats->columns_materialized` (stats may be null).
   Status EnsureColumnIndexes(const std::vector<int>& indexes,
@@ -256,15 +318,16 @@ class Segment {
   Status EnsureForQuery(const OlapQuery& query, OlapQueryStats* stats) const;
 
   void BuildIndexes(const SegmentIndexConfig& config);
-  /// Fills each column's dict_numeric table (after dictionaries exist).
-  void BuildNumericDictionaries();
   /// Fills zones_ from the sorted dictionaries; `keep_blooms` preserves
   /// bloom words adopted from a serialized blob instead of rehashing.
   void BuildZoneMaps(bool keep_blooms = false);
   int ColumnIndex(const std::string& name) const { return schema_.FieldIndex(name); }
-  /// Dict-id range [lo, hi) matching the predicate, or empty.
-  Result<std::pair<uint32_t, uint32_t>> PredicateIdRange(const Column& column,
-                                                         const FilterPredicate& pred) const;
+  /// Dict ids matching `pred`; kNe resolves to its kEq set, which callers
+  /// negate.
+  IdSet PredicateIds(const Column& column, const FilterPredicate& pred) const;
+  /// Rows [first, last) of the sorted column whose dict ids are in `ids`
+  /// (a range).
+  std::pair<size_t, size_t> SortedRowRange(const Column& column, const IdSet& ids) const;
   /// Row ids matching all predicates; `all` set true when unfiltered.
   /// Scalar-oracle path only; the vectorized engine uses BuildSelection.
   Result<std::vector<uint32_t>> FilterRows(const std::vector<FilterPredicate>& preds,
@@ -297,6 +360,7 @@ class Segment {
   std::string name_;
   RowSchema schema_;
   size_t num_rows_ = 0;
+  bool consuming_ = false;  ///< true from Consuming() until Seal()
   /// Mutable only through the monotone lazy decode (Ensure*); immutable
   /// once decoded and always immutable for eager segments.
   mutable std::vector<Column> columns_;

@@ -1,7 +1,8 @@
-/// Vectorized execution engine for immutable segments (Pinot-style,
-/// paper Section 4.3): selection bitmaps + batched forward-index decode +
-/// dict-id-native aggregation kernels. The row-at-a-time path lives in
-/// segment.cc as Segment::ExecuteScalar and stays the parity oracle.
+/// Vectorized execution engine for sealed and consuming segments
+/// (Pinot-style, paper Section 4.3): selection bitmaps + batched
+/// forward-index decode + dict-id-native aggregation kernels. The
+/// row-at-a-time path lives in segment.cc as Segment::ExecuteScalar and
+/// stays the parity oracle.
 #include <algorithm>
 #include <bit>
 #include <map>
@@ -227,11 +228,10 @@ bool Segment::TryStarTree(const OlapQuery& query, const std::vector<bool>* valid
   constexpr uint32_t kUnpinned = 0xFFFFFFFFu;
   std::vector<uint32_t> pinned(max_prefix, kUnpinned);
   for (const auto& [pos, pred] : eq_filters) {
-    auto [id, id_end] =
-        PredicateIdRange(columns_[static_cast<size_t>(star_dims_[pos])], *pred).value();
-    if (id == id_end) return true;
-    if (pinned[pos] != kUnpinned && pinned[pos] != id) return true;
-    pinned[pos] = id;
+    IdSet ids = PredicateIds(columns_[static_cast<size_t>(star_dims_[pos])], *pred);
+    if (ids.None()) return true;
+    if (pinned[pos] != kUnpinned && pinned[pos] != ids.lo) return true;
+    pinned[pos] = ids.lo;
   }
 
   // The level's cells are sorted by tuple, so the cells matching the pinned
@@ -276,28 +276,10 @@ Result<SelectionBitmap> Segment::BuildSelection(
 
   struct ScanPred {
     const Column* column = nullptr;
-    uint32_t lo = 0;
-    uint32_t hi = 0;
+    IdSet ids;
     bool negate = false;
   };
   std::vector<ScanPred> scan_preds;
-
-  // Row range [row_lo, row_hi) of the sorted column whose dict ids fall in
-  // [lo, hi): ids are non-decreasing with row index, so binary search.
-  auto sorted_row_range = [&](const Column& column, uint32_t lo, uint32_t hi) {
-    size_t a = 0, b = num_rows_;
-    while (a < b) {
-      size_t mid = (a + b) / 2;
-      if (column.IdAt(mid) < lo) a = mid + 1; else b = mid;
-    }
-    size_t row_lo = a;
-    b = num_rows_;
-    while (a < b) {
-      size_t mid = (a + b) / 2;
-      if (column.IdAt(mid) < hi) a = mid + 1; else b = mid;
-    }
-    return std::make_pair(row_lo, a);
-  };
 
   auto posting_bitmap = [&](const Column& column, uint32_t lo, uint32_t hi) {
     SelectionBitmap bits(num_rows_, false);
@@ -311,42 +293,27 @@ Result<SelectionBitmap> Segment::BuildSelection(
     int idx = ColumnIndex(pred.column);
     if (idx < 0) return Status::InvalidArgument("unknown column: " + pred.column);
     const Column& column = columns_[static_cast<size_t>(idx)];
-    if (pred.op == FilterPredicate::Op::kNe) {
-      // The excluded ids are the Eq range of the value; absent from the
-      // dictionary means Ne matches every row.
-      FilterPredicate eq = pred;
-      eq.op = FilterPredicate::Op::kEq;
-      Result<std::pair<uint32_t, uint32_t>> range = PredicateIdRange(column, eq);
-      if (!range.ok()) return range.status();
-      auto [lo, hi] = range.value();
-      if (lo >= hi) continue;
-      if (idx == sorted_column_) {
-        auto [row_lo, row_hi] = sorted_row_range(column, lo, hi);
-        stats->bitmap_words += static_cast<int64_t>(sel.ClearRange(row_lo, row_hi));
-      } else if (column.has_inverted) {
-        stats->bitmap_words +=
-            static_cast<int64_t>(sel.AndNot(posting_bitmap(column, lo, hi)));
-      } else {
-        scan_preds.push_back({&column, lo, hi, true});
-      }
-      continue;
-    }
-    Result<std::pair<uint32_t, uint32_t>> range = PredicateIdRange(column, pred);
-    if (!range.ok()) return range.status();
-    auto [lo, hi] = range.value();
-    if (lo >= hi) {
+    // Ne resolves to the excluded Eq ids; absent from the dictionary means
+    // Ne matches every row.
+    const bool negate = pred.op == FilterPredicate::Op::kNe;
+    IdSet ids = PredicateIds(column, pred);
+    if (ids.None()) {
+      if (negate) continue;
       // No dictionary match: nothing can qualify.
       sel.ClearAll();
       return sel;
     }
+    // Index paths exist on sealed segments only, whose id sets are ranges.
     if (idx == sorted_column_) {
-      auto [row_lo, row_hi] = sorted_row_range(column, lo, hi);
-      stats->bitmap_words += static_cast<int64_t>(sel.IntersectRange(row_lo, row_hi));
+      auto [row_lo, row_hi] = SortedRowRange(column, ids);
+      stats->bitmap_words += static_cast<int64_t>(
+          negate ? sel.ClearRange(row_lo, row_hi) : sel.IntersectRange(row_lo, row_hi));
     } else if (column.has_inverted) {
+      SelectionBitmap postings = posting_bitmap(column, ids.lo, ids.hi);
       stats->bitmap_words +=
-          static_cast<int64_t>(sel.And(posting_bitmap(column, lo, hi)));
+          static_cast<int64_t>(negate ? sel.AndNot(postings) : sel.And(postings));
     } else {
-      scan_preds.push_back({&column, lo, hi, false});
+      scan_preds.push_back({&column, std::move(ids), negate});
     }
   }
 
@@ -373,8 +340,7 @@ Result<SelectionBitmap> Segment::BuildSelection(
         for (size_t i = 0; i < live; ++i) {
           uint32_t r = rows[i];
           uint32_t id = use_dense ? dense[r - base] : sp.column->IdAt(r);
-          bool in = id >= sp.lo && id < sp.hi;
-          if (in == sp.negate) continue;
+          if (sp.ids.Contains(id) == sp.negate) continue;
           rows[out++] = r;
         }
         live = out;

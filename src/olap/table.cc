@@ -4,25 +4,12 @@
 
 namespace uberrt::olap {
 
-bool EvalPredicate(const FilterPredicate& pred, const Value& v) {
-  const Value& target = pred.value;
-  bool less = v < target;
-  bool greater = target < v;
-  bool equal = !less && !greater;
-  switch (pred.op) {
-    case FilterPredicate::Op::kEq: return equal;
-    case FilterPredicate::Op::kNe: return !equal;
-    case FilterPredicate::Op::kLt: return less;
-    case FilterPredicate::Op::kLe: return less || equal;
-    case FilterPredicate::Op::kGt: return greater;
-    case FilterPredicate::Op::kGe: return greater || equal;
-  }
-  return false;
-}
-
 RealtimePartition::RealtimePartition(const TableConfig& config, int32_t partition_id,
                                      LifecycleManager* lifecycle)
-    : config_(config), partition_id_(partition_id), lifecycle_(lifecycle) {
+    : config_(config),
+      partition_id_(partition_id),
+      lifecycle_(lifecycle),
+      consuming_(Segment::Consuming(config.schema)) {
   if (config_.upsert_enabled) {
     primary_key_index_ = config_.schema.FieldIndex(config_.primary_key_column);
   }
@@ -32,37 +19,35 @@ RealtimePartition::RealtimePartition(const TableConfig& config, int32_t partitio
 }
 
 Status RealtimePartition::Ingest(Row row) {
-  if (row.size() != config_.schema.NumFields()) {
-    return Status::InvalidArgument("row width mismatch for table " + config_.name);
+  if (config_.upsert_enabled && primary_key_index_ < 0) {
+    return Status::FailedPrecondition("upsert table lacks primary key column");
   }
-  if (config_.upsert_enabled) {
-    if (primary_key_index_ < 0) {
-      return Status::FailedPrecondition("upsert table lacks primary key column");
+  UBERRT_RETURN_IF_ERROR(consuming_->Append(std::move(row)));
+  if (!config_.upsert_enabled) return Status::Ok();
+  const uint32_t row_index = static_cast<uint32_t>(consuming_->NumRows() - 1);
+  consuming_validity_.push_back(true);
+  std::string key = consuming_->GetValue(row_index, primary_key_index_).ToString();
+  auto it = upsert_locations_.find(key);
+  if (it != upsert_locations_.end()) {
+    // Invalidate the previous version of this key.
+    if (it->second.segment_index < 0) {
+      consuming_validity_[it->second.row_index] = false;
+    } else {
+      // Through the handle: the bit flip is synchronized against a
+      // concurrent demotion snapshotting the same bits, and — because
+      // the vector is shared with peer replicas — reaches every copy.
+      sealed_[static_cast<size_t>(it->second.segment_index)]
+          .handle->InvalidateRow(it->second.row_index);
     }
-    std::string key = row[static_cast<size_t>(primary_key_index_)].ToString();
-    auto it = upsert_locations_.find(key);
-    if (it != upsert_locations_.end()) {
-      // Invalidate the previous version of this key.
-      if (it->second.segment_index < 0) {
-        buffer_validity_[it->second.row_index] = false;
-      } else {
-        // Through the handle: the bit flip is synchronized against a
-        // concurrent demotion snapshotting the same bits, and — because
-        // the vector is shared with peer replicas — reaches every copy.
-        sealed_[static_cast<size_t>(it->second.segment_index)]
-            .handle->InvalidateRow(it->second.row_index);
-      }
-    }
-    upsert_locations_[key] = {-1, static_cast<uint32_t>(buffer_.size())};
   }
-  buffer_.push_back(std::move(row));
-  buffer_validity_.push_back(true);
+  upsert_locations_[std::move(key)] = {-1, row_index};
   return Status::Ok();
 }
 
 Result<std::shared_ptr<Segment>> RealtimePartition::SealIfNeeded(bool force) {
-  if (buffer_.empty()) return std::shared_ptr<Segment>();
-  if (!force && static_cast<int64_t>(buffer_.size()) < config_.segment_rows_threshold) {
+  const int64_t rows = consuming_->NumRows();
+  if (rows == 0) return std::shared_ptr<Segment>();
+  if (!force && rows < config_.segment_rows_threshold) {
     return std::shared_ptr<Segment>();
   }
   std::string segment_name = config_.name + "_p" + std::to_string(partition_id_) +
@@ -82,28 +67,24 @@ Result<std::shared_ptr<Segment>> RealtimePartition::SealIfNeeded(bool force) {
     index_config.star_tree_dimensions.clear();
     index_config.star_tree_metrics.clear();
   }
-  Result<std::shared_ptr<Segment>> built =
-      Segment::Build(segment_name, config_.schema, buffer_, index_config);
-  if (!built.ok()) return built.status();
+  UBERRT_RETURN_IF_ERROR(consuming_->Seal(segment_name, index_config));
+  std::shared_ptr<Segment> built = std::move(consuming_);
+  consuming_ = Segment::Consuming(config_.schema);
 
   std::shared_ptr<std::vector<bool>> validity;
   if (config_.upsert_enabled) {
-    validity = std::make_shared<std::vector<bool>>(buffer_validity_);
+    validity = std::make_shared<std::vector<bool>>(std::move(consuming_validity_));
+    consuming_validity_.clear();
   }
   TimestampMs min_time = INT64_MIN, max_time = INT64_MAX;
   if (time_index_ >= 0) {
-    min_time = INT64_MAX;
-    max_time = INT64_MIN;
-    for (const Row& row : buffer_) {
-      TimestampMs t = static_cast<TimestampMs>(
-          row[static_cast<size_t>(time_index_)].ToNumeric());
-      min_time = std::min(min_time, t);
-      max_time = std::max(max_time, t);
-    }
+    auto [lo, hi] = built->NumericBounds(time_index_);
+    min_time = static_cast<TimestampMs>(lo);
+    max_time = static_cast<TimestampMs>(hi);
   }
   SealedSegment sealed;
   sealed.handle = SegmentHandle::Create(
-      built.value(), next_segment_seq_ - 1, min_time, max_time, validity,
+      built, next_segment_seq_ - 1, min_time, max_time, validity,
       "segments/" + config_.name + "/" + segment_name, lifecycle_);
   sealed.handle->SetNeedsCompaction(deferred);
   sealed.validity = std::move(validity);
@@ -111,119 +92,25 @@ Result<std::shared_ptr<Segment>> RealtimePartition::SealIfNeeded(bool force) {
   sealed_.push_back(std::move(sealed));
   sealed_names_.insert(segment_name);
 
-  // Remap buffered upsert locations into the sealed segment.
+  // Remap consuming upsert locations into the sealed segment.
   if (config_.upsert_enabled) {
     for (auto& [key, loc] : upsert_locations_) {
       if (loc.segment_index == -1) loc.segment_index = segment_index;
     }
   }
-  buffer_.clear();
-  buffer_validity_.clear();
-  return built.value();
+  return built;
 }
 
 int64_t RealtimePartition::NumRows() const {
-  int64_t rows = static_cast<int64_t>(buffer_.size());
+  int64_t rows = consuming_->NumRows();
   for (const SealedSegment& s : sealed_) rows += s.handle->num_rows();
   return rows;
 }
 
 int64_t RealtimePartition::MemoryBytes() const {
-  int64_t bytes = 0;
-  for (const Row& row : buffer_) {
-    bytes += 16;
-    for (const Value& v : row) {
-      bytes += 16;
-      if (v.type() == ValueType::kString) bytes += static_cast<int64_t>(v.AsString().size());
-    }
-  }
+  int64_t bytes = consuming_->MemoryBytes();
   for (const SealedSegment& s : sealed_) bytes += s.handle->ResidentBytes();
   return bytes;
-}
-
-Result<OlapResult> RealtimePartition::ExecuteOnBuffer(const OlapQuery& query,
-                                                      OlapQueryStats* stats) const {
-  OlapResult result;
-  std::vector<int> filter_indices;
-  for (const FilterPredicate& pred : query.filters) {
-    int idx = config_.schema.FieldIndex(pred.column);
-    if (idx < 0) return Status::InvalidArgument("unknown column: " + pred.column);
-    filter_indices.push_back(idx);
-  }
-  auto matches = [&](const Row& row) {
-    for (size_t i = 0; i < query.filters.size(); ++i) {
-      if (!EvalPredicate(query.filters[i],
-                         row[static_cast<size_t>(filter_indices[i])])) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  if (!query.aggregations.empty()) {
-    std::vector<int> group_indices;
-    for (const std::string& g : query.group_by) {
-      int idx = config_.schema.FieldIndex(g);
-      if (idx < 0) return Status::InvalidArgument("unknown group column: " + g);
-      group_indices.push_back(idx);
-    }
-    std::vector<int> agg_indices;
-    for (const OlapAggregation& agg : query.aggregations) {
-      agg_indices.push_back(agg.column.empty() ? -1
-                                               : config_.schema.FieldIndex(agg.column));
-    }
-    struct GroupEntry {
-      Row key_values;
-      std::vector<AggAccumulator> accs;
-    };
-    std::map<std::string, GroupEntry> groups;
-    for (size_t r = 0; r < buffer_.size(); ++r) {
-      if (!buffer_validity_[r]) continue;
-      ++stats->rows_scanned;
-      const Row& row = buffer_[r];
-      if (!matches(row)) continue;
-      // Typed value encoding, as MergeAndFinalize keys groups: ToString
-      // keeps 6 significant digits of a double, merging distinct values.
-      std::string key;
-      for (int idx : group_indices) AppendValue(&key, row[static_cast<size_t>(idx)]);
-      GroupEntry& entry = groups[key];
-      if (entry.accs.empty()) {
-        entry.accs.resize(query.aggregations.size());
-        for (int idx : group_indices) {
-          entry.key_values.push_back(row[static_cast<size_t>(idx)]);
-        }
-      }
-      for (size_t a = 0; a < query.aggregations.size(); ++a) {
-        double v = agg_indices[a] >= 0
-                       ? row[static_cast<size_t>(agg_indices[a])].ToNumeric()
-                       : 0.0;
-        entry.accs[a].Add(v);
-      }
-    }
-    for (auto& [key, entry] : groups) {
-      Row row = std::move(entry.key_values);
-      for (const AggAccumulator& acc : entry.accs) AppendAccumulator(&row, acc);
-      result.rows.push_back(std::move(row));
-    }
-    return result;
-  }
-
-  std::vector<int> select_indices;
-  for (const std::string& s : query.select_columns) {
-    int idx = config_.schema.FieldIndex(s);
-    if (idx < 0) return Status::InvalidArgument("unknown column: " + s);
-    select_indices.push_back(idx);
-  }
-  for (size_t r = 0; r < buffer_.size(); ++r) {
-    if (!buffer_validity_[r]) continue;
-    ++stats->rows_scanned;
-    const Row& row = buffer_[r];
-    if (!matches(row)) continue;
-    Row out;
-    for (int idx : select_indices) out.push_back(row[static_cast<size_t>(idx)]);
-    result.rows.push_back(std::move(out));
-  }
-  return result;
 }
 
 void RealtimePartition::PlanMorsels(const OlapQuery& query,
@@ -276,7 +163,7 @@ void RealtimePartition::PlanMorsels(const OlapQuery& query,
     }
     morsels->push_back(static_cast<int32_t>(i));
   }
-  // The consuming buffer is always a morsel, even when empty: column
+  // The consuming segment is always a morsel, even when empty: column
   // validation (unknown column -> InvalidArgument) must not depend on how
   // many segments were pruned.
   morsels->push_back(-1);
@@ -285,7 +172,10 @@ void RealtimePartition::PlanMorsels(const OlapQuery& query,
 Result<OlapResult> RealtimePartition::ExecuteMorsel(const OlapQuery& query,
                                                     int32_t morsel,
                                                     OlapQueryStats* stats) const {
-  if (morsel < 0) return ExecuteOnBuffer(query, stats);
+  if (morsel < 0) {
+    return consuming_->Execute(
+        query, config_.upsert_enabled ? &consuming_validity_ : nullptr, stats);
+  }
   const SealedSegment& sealed = sealed_[static_cast<size_t>(morsel)];
   SegmentTier observed = SegmentTier::kHot;
   Result<std::shared_ptr<Segment>> segment = sealed.handle->Acquire(&observed);
@@ -316,7 +206,7 @@ void RealtimePartition::DropSealedSegments() {
   sealed_names_.clear();
   // Stale sealed locations must go with the segments: a later Ingest of the
   // same key would otherwise write validity through an out-of-range index.
-  // Buffer locations stay live (the consuming buffer survives a kill).
+  // Consuming locations stay live (the consuming segment survives a kill).
   for (auto it = upsert_locations_.begin(); it != upsert_locations_.end();) {
     if (it->second.segment_index >= 0) {
       it = upsert_locations_.erase(it);
@@ -359,13 +249,13 @@ Status RealtimePartition::RebuildUpsertState() {
     sealed_[si].validity =
         std::make_shared<std::vector<bool>>(segments[si]->NumRows(), true);
   }
-  buffer_validity_.assign(buffer_.size(), true);
+  consuming_validity_.assign(static_cast<size_t>(consuming_->NumRows()), true);
   auto claim = [&](const std::string& key, int32_t segment_index,
                    uint32_t row_index) {
     auto it = upsert_locations_.find(key);
     if (it != upsert_locations_.end()) {
       if (it->second.segment_index < 0) {
-        buffer_validity_[it->second.row_index] = false;
+        consuming_validity_[it->second.row_index] = false;
       } else {
         (*sealed_[static_cast<size_t>(it->second.segment_index)].validity)
             [it->second.row_index] = false;
@@ -373,18 +263,18 @@ Status RealtimePartition::RebuildUpsertState() {
     }
     upsert_locations_[key] = {segment_index, row_index};
   };
-  // Seal order then buffer = ingest order: the last claim per key wins.
-  for (size_t si = 0; si < sealed_.size(); ++si) {
-    const Segment& segment = *segments[si];
+  // Seal order then the consuming segment = ingest order: the last claim
+  // per key wins.
+  auto claim_all = [&](const Segment& segment, int32_t segment_index) {
     for (int64_t r = 0; r < segment.NumRows(); ++r) {
       claim(segment.GetValue(static_cast<size_t>(r), primary_key_index_).ToString(),
-            static_cast<int32_t>(si), static_cast<uint32_t>(r));
+            segment_index, static_cast<uint32_t>(r));
     }
+  };
+  for (size_t si = 0; si < sealed_.size(); ++si) {
+    claim_all(*segments[si], static_cast<int32_t>(si));
   }
-  for (size_t r = 0; r < buffer_.size(); ++r) {
-    claim(buffer_[r][static_cast<size_t>(primary_key_index_)].ToString(), -1,
-          static_cast<uint32_t>(r));
-  }
+  claim_all(*consuming_, -1);
   // Publish the rebuilt vectors through the handles so later demotions
   // archive the live bits (and peer replicas see them).
   for (SealedSegment& s : sealed_) s.handle->SetValidity(s.validity);

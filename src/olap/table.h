@@ -23,7 +23,7 @@ struct TableConfig {
   /// Time column for segment time-boundary pruning ("" = none).
   std::string time_column;
   SegmentIndexConfig index_config;
-  /// Rows buffered in the consuming segment before sealing.
+  /// Rows appended to the consuming segment before it seals.
   int64_t segment_rows_threshold = 10'000;
   /// Upsert (Section 4.3.1): rows with the same primary key replace earlier
   /// ones. Requires the input stream partitioned by primary key and
@@ -47,16 +47,17 @@ class RealtimePartition {
   RealtimePartition(const TableConfig& config, int32_t partition_id,
                     LifecycleManager* lifecycle = nullptr);
 
-  /// Appends one row to the consuming segment; with upsert enabled,
-  /// invalidates the key's previous location.
+  /// Appends one row to the consuming segment (O(columns), see
+  /// Segment::Append); with upsert enabled, invalidates the key's previous
+  /// location.
   Status Ingest(Row row);
 
-  /// Seals the consuming buffer into an immutable segment (no-op when the
-  /// buffer is under the threshold unless `force`). Returns the new segment
-  /// or nullptr when nothing was sealed.
+  /// Seals the consuming segment in place (no-op when it is under the
+  /// threshold unless `force`) and starts an empty one. Returns the sealed
+  /// segment or nullptr when nothing was sealed.
   Result<std::shared_ptr<Segment>> SealIfNeeded(bool force = false);
 
-  /// Executes a query over all sealed segments + the consuming buffer.
+  /// Executes a query over all sealed segments + the consuming segment.
   /// Results are partial rows (see AggAccumulator). Equivalent to
   /// PlanMorsels + ExecuteMorsel over every planned morsel in order — the
   /// broker's parallel path runs exactly that decomposition, so serial and
@@ -65,26 +66,28 @@ class RealtimePartition {
 
   /// Plans this partition's morsels (units of query work): one per sealed
   /// segment that survives time-window + zone-map/bloom pruning, plus one
-  /// for the consuming buffer (always planned, so errors like unknown
+  /// for the consuming segment (always planned, so errors like unknown
   /// columns surface identically with or without pruning). Appends segment
-  /// indexes (>= 0) then -1 for the buffer; pruned segments are counted in
-  /// stats->segments_pruned. Pruning never materializes a warm/cold
-  /// segment: demoted segments answer from their resident SegmentPruneInfo.
+  /// indexes (>= 0) then -1 for the consuming segment; pruned segments are
+  /// counted in stats->segments_pruned. Pruning never materializes a
+  /// warm/cold segment: demoted segments answer from their resident
+  /// SegmentPruneInfo.
   void PlanMorsels(const OlapQuery& query, std::vector<int32_t>* morsels,
                    OlapQueryStats* stats) const;
 
-  /// Executes one planned morsel (-1 = consuming buffer). A warm or cold
+  /// Executes one planned morsel (-1 = consuming segment, run by the same
+  /// Segment::Execute engine with its validity vector). A warm or cold
   /// sealed segment is transparently (re)materialized via its handle; the
   /// tier served is counted in stats->segments_{hot,warm,cold}.
   Result<OlapResult> ExecuteMorsel(const OlapQuery& query, int32_t morsel,
                                    OlapQueryStats* stats) const;
 
   int64_t NumRows() const;
-  /// Rows currently in the (unsealed) consuming buffer.
-  int64_t BufferedRows() const { return static_cast<int64_t>(buffer_.size()); }
+  /// Rows currently in the (unsealed) consuming segment.
+  int64_t ConsumingRows() const { return consuming_->NumRows(); }
   int64_t segment_rows_threshold() const { return config_.segment_rows_threshold; }
   int64_t NumSealedSegments() const { return static_cast<int64_t>(sealed_.size()); }
-  /// Resident (process-memory) bytes: consuming buffer + the current
+  /// Resident (process-memory) bytes: consuming segment + the current
   /// representation of each sealed segment (a cold segment costs only its
   /// prune info).
   int64_t MemoryBytes() const;
@@ -103,7 +106,7 @@ class RealtimePartition {
   const std::vector<SealedSegment>& sealed() const { return sealed_; }
 
   /// Drops all sealed segments (simulated server loss) keeping the
-  /// consuming buffer; recovery re-adds them via RestoreSegment. Upsert
+  /// consuming segment; recovery re-adds them via RestoreSegment. Upsert
   /// locations pointing into the dropped segments are erased — a later
   /// Ingest for such a key must not write through a stale index.
   void DropSealedSegments();
@@ -113,7 +116,7 @@ class RealtimePartition {
   /// Call after a batch of RestoreSegment calls: re-sorts sealed segments
   /// by seal sequence and, for upsert tables, rebuilds the key->location
   /// index and every validity vector by replaying segments in seal order
-  /// followed by the consuming buffer. Archived validity snapshots may be
+  /// followed by the consuming segment. Archived validity snapshots may be
   /// stale; the replay recomputes the truth from row contents (the stream
   /// is partitioned by primary key, so every version of a key is local).
   /// Fails if a restored segment cannot be materialized for the replay.
@@ -129,12 +132,10 @@ class RealtimePartition {
 
  private:
   struct UpsertLocation {
-    int32_t segment_index = -1;  ///< -1 = consuming buffer
+    int32_t segment_index = -1;  ///< -1 = consuming segment
     uint32_t row_index = 0;
   };
 
-  Result<OlapResult> ExecuteOnBuffer(const OlapQuery& query,
-                                     OlapQueryStats* stats) const;
   /// Recomputes upsert_locations_ + validity from current contents.
   Status RebuildUpsertState();
 
@@ -144,8 +145,10 @@ class RealtimePartition {
   int primary_key_index_ = -1;
   int time_index_ = -1;
 
-  std::vector<Row> buffer_;
-  std::vector<bool> buffer_validity_;
+  std::shared_ptr<Segment> consuming_;
+  /// Upsert tables only: false marks a consuming row superseded by a later
+  /// version of its key.
+  std::vector<bool> consuming_validity_;
   std::vector<SealedSegment> sealed_;
   /// Names of the sealed segments, for O(1) HasSegment (recovery checks it
   /// once per replica per restored segment).
@@ -153,10 +156,6 @@ class RealtimePartition {
   std::map<std::string, UpsertLocation> upsert_locations_;
   int64_t next_segment_seq_ = 0;
 };
-
-/// Evaluates one predicate against a concrete value (used by the consuming
-/// buffer's row-at-a-time path and by the SQL layer's residual filters).
-bool EvalPredicate(const FilterPredicate& pred, const Value& v);
 
 }  // namespace uberrt::olap
 

@@ -65,7 +65,7 @@ TEST(RealtimePartitionTest, SealAtThresholdAndQueryAcrossBoth) {
     partition.SealIfNeeded().ok();
   }
   EXPECT_EQ(partition.NumSealedSegments(), 2);  // 10 + 10, 5 buffered
-  EXPECT_EQ(partition.BufferedRows(), 5);
+  EXPECT_EQ(partition.ConsumingRows(), 5);
   EXPECT_EQ(CountAll(partition), 25);
   EXPECT_EQ(partition.NumRows(), 25);
 }
@@ -80,7 +80,7 @@ TEST(RealtimePartitionTest, ForceSealFlushesSmallBuffer) {
   ASSERT_TRUE(forced.ok());
   ASSERT_NE(forced.value(), nullptr);
   EXPECT_EQ(forced.value()->NumRows(), 1);
-  EXPECT_EQ(partition.BufferedRows(), 0);
+  EXPECT_EQ(partition.ConsumingRows(), 0);
 }
 
 TEST(RealtimePartitionTest, UpsertAcrossSealBoundaries) {
@@ -142,49 +142,130 @@ TEST(RealtimePartitionTest, BufferGroupByKeepsNearlyEqualDoublesApart) {
   EXPECT_EQ(group_counts(), expected);
 }
 
-/// Property sweep: EvalPredicate agrees with a straightforward spec across
-/// all ops and value-type pairings.
+TEST(RealtimePartitionTest, ConsumingCellsAreCoercedToTheColumnType) {
+  // INT cells in a DOUBLE column group with their DOUBLE spelling in the
+  // consuming segment, exactly as they do once sealed.
+  RealtimePartition partition(FareTable(false), 0);
+  for (int64_t v : {1, 2, 3}) {
+    ASSERT_TRUE(partition.Ingest({Value("r"), Value(v), Value(v)}).ok());
+  }
+  ASSERT_TRUE(partition.Ingest(Fare("r", 1.0)).ok());
+  OlapQuery query;
+  query.group_by = {"fare"};
+  query.aggregations = {OlapAggregation::Count("n")};
+  for (int phase = 0; phase < 2; ++phase) {
+    OlapQueryStats stats;
+    Result<OlapResult> result = partition.Execute(query, &stats);
+    ASSERT_TRUE(result.ok());
+    std::vector<std::pair<Value, int64_t>> groups;
+    for (const Row& partial : result.value().rows) {
+      groups.emplace_back(partial[0], partial[1].AsInt());
+    }
+    std::sort(groups.begin(), groups.end());
+    const std::vector<std::pair<Value, int64_t>> expected = {
+        {Value(1.0), 2}, {Value(2.0), 1}, {Value(3.0), 1}};
+    EXPECT_EQ(groups, expected) << (phase == 0 ? "consuming" : "sealed");
+    ASSERT_TRUE(partition.SealIfNeeded(true).ok());
+  }
+}
+
+/// Predicate semantics through the one query engine: each spec case filters
+/// an INT column `v` and a DOUBLE column `d` holding the same values, and
+/// must count the same in the consuming segment and once it has sealed.
 struct PredicateCase {
   FilterPredicate::Op op;
-  double lhs;
+  std::vector<int64_t> values;
   double rhs;
-  bool expected;
+  int64_t expected;
 };
 
-class EvalPredicateTest : public ::testing::TestWithParam<PredicateCase> {};
+TableConfig NumbersTable() {
+  TableConfig config;
+  config.name = "numbers";
+  config.schema = RowSchema({{"v", ValueType::kInt},
+                             {"d", ValueType::kDouble},
+                             {"s", ValueType::kString}});
+  config.segment_rows_threshold = 1'000;
+  return config;
+}
 
-TEST_P(EvalPredicateTest, NumericSemantics) {
+int64_t CountWhere(const RealtimePartition& partition, FilterPredicate pred) {
+  OlapQuery query;
+  query.aggregations = {OlapAggregation::Count("n")};
+  query.filters = {std::move(pred)};
+  OlapQueryStats stats;
+  Result<OlapResult> result = partition.Execute(query, &stats);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  int64_t total = 0;
+  for (const Row& partial : result.value().rows) total += partial[0].AsInt();
+  return total;
+}
+
+class PredicateSemanticsTest : public ::testing::TestWithParam<PredicateCase> {};
+
+TEST_P(PredicateSemanticsTest, CountsMatchSpecBeforeAndAfterSeal) {
   const PredicateCase& c = GetParam();
-  FilterPredicate pred{"x", c.op, Value(c.rhs)};
-  EXPECT_EQ(EvalPredicate(pred, Value(c.lhs)), c.expected);
-  // Int/double cross-typing preserves semantics when values are integral.
-  if (c.lhs == static_cast<int64_t>(c.lhs)) {
-    EXPECT_EQ(EvalPredicate(pred, Value(static_cast<int64_t>(c.lhs))), c.expected);
+  RealtimePartition partition(NumbersTable(), 0);
+  for (int64_t v : c.values) {
+    ASSERT_TRUE(
+        partition.Ingest({Value(v), Value(static_cast<double>(v)), Value("x")}).ok());
+  }
+  // A DOUBLE target, plus the INT spelling of an integral one.
+  std::vector<Value> targets = {Value(c.rhs)};
+  if (c.rhs == static_cast<double>(static_cast<int64_t>(c.rhs))) {
+    targets.push_back(Value(static_cast<int64_t>(c.rhs)));
+  }
+  for (const char* phase : {"consuming", "sealed"}) {
+    for (const char* column : {"v", "d"}) {
+      for (const Value& target : targets) {
+        EXPECT_EQ(CountWhere(partition, {column, c.op, target}), c.expected)
+            << phase << " " << column << " op " << static_cast<int>(c.op) << " "
+            << target.ToString() << " (" << ValueTypeName(target.type()) << ")";
+      }
+    }
+    ASSERT_TRUE(partition.SealIfNeeded(true).ok());
+    EXPECT_EQ(partition.ConsumingRows(), 0);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllOps, EvalPredicateTest,
-    ::testing::Values(PredicateCase{FilterPredicate::Op::kEq, 5, 5, true},
-                      PredicateCase{FilterPredicate::Op::kEq, 5, 6, false},
-                      PredicateCase{FilterPredicate::Op::kNe, 5, 6, true},
-                      PredicateCase{FilterPredicate::Op::kNe, 5, 5, false},
-                      PredicateCase{FilterPredicate::Op::kLt, 4, 5, true},
-                      PredicateCase{FilterPredicate::Op::kLt, 5, 5, false},
-                      PredicateCase{FilterPredicate::Op::kLe, 5, 5, true},
-                      PredicateCase{FilterPredicate::Op::kLe, 6, 5, false},
-                      PredicateCase{FilterPredicate::Op::kGt, 6, 5, true},
-                      PredicateCase{FilterPredicate::Op::kGt, 5, 5, false},
-                      PredicateCase{FilterPredicate::Op::kGe, 5, 5, true},
-                      PredicateCase{FilterPredicate::Op::kGe, 4, 5, false}));
+    AllOps, PredicateSemanticsTest,
+    ::testing::Values(PredicateCase{FilterPredicate::Op::kEq, {5}, 5, 1},
+                      PredicateCase{FilterPredicate::Op::kEq, {5}, 6, 0},
+                      PredicateCase{FilterPredicate::Op::kNe, {5}, 6, 1},
+                      PredicateCase{FilterPredicate::Op::kNe, {5}, 5, 0},
+                      PredicateCase{FilterPredicate::Op::kLt, {4}, 5, 1},
+                      PredicateCase{FilterPredicate::Op::kLt, {5}, 5, 0},
+                      PredicateCase{FilterPredicate::Op::kLe, {5}, 5, 1},
+                      PredicateCase{FilterPredicate::Op::kLe, {6}, 5, 0},
+                      PredicateCase{FilterPredicate::Op::kGt, {6}, 5, 1},
+                      PredicateCase{FilterPredicate::Op::kGt, {5}, 5, 0},
+                      PredicateCase{FilterPredicate::Op::kGe, {5}, 5, 1},
+                      PredicateCase{FilterPredicate::Op::kGe, {4}, 5, 0},
+                      // A non-integral bound is never truncated to the INT
+                      // column's type: ranges keep it exactly, = matches
+                      // nothing and != everything.
+                      PredicateCase{FilterPredicate::Op::kLt, {1, 2, 3, 4}, 2.5, 2},
+                      PredicateCase{FilterPredicate::Op::kLe, {1, 2, 3, 4}, 2.5, 2},
+                      PredicateCase{FilterPredicate::Op::kEq, {1, 2, 3, 4}, 2.5, 0},
+                      PredicateCase{FilterPredicate::Op::kNe, {1, 2, 3, 4}, 2.5, 4},
+                      PredicateCase{FilterPredicate::Op::kGt, {1, 2, 3, 4}, 2.5, 2},
+                      PredicateCase{FilterPredicate::Op::kGe, {1, 2, 3, 4}, 2.5, 2},
+                      PredicateCase{FilterPredicate::Op::kGe, {1, 2, 3, 4}, -0.5, 4},
+                      PredicateCase{FilterPredicate::Op::kLt, {1, 2, 3, 4}, 4.5, 4}));
 
-TEST(EvalPredicateTest, StringSemantics) {
-  EXPECT_TRUE(EvalPredicate({"x", FilterPredicate::Op::kEq, Value("abc")},
-                            Value("abc")));
-  EXPECT_TRUE(EvalPredicate({"x", FilterPredicate::Op::kLt, Value("b")},
-                            Value("a")));
-  EXPECT_FALSE(EvalPredicate({"x", FilterPredicate::Op::kGe, Value("b")},
-                             Value("a")));
+TEST(PredicateSemanticsTest, StringSemanticsBeforeAndAfterSeal) {
+  RealtimePartition partition(NumbersTable(), 0);
+  for (const char* s : {"a", "abc"}) {
+    ASSERT_TRUE(partition.Ingest({Value(int64_t{0}), Value(0.0), Value(s)}).ok());
+  }
+  for (int phase = 0; phase < 2; ++phase) {
+    EXPECT_EQ(CountWhere(partition, {"s", FilterPredicate::Op::kEq, Value("abc")}), 1);
+    EXPECT_EQ(CountWhere(partition, {"s", FilterPredicate::Op::kLt, Value("b")}), 2);
+    EXPECT_EQ(CountWhere(partition, {"s", FilterPredicate::Op::kGe, Value("b")}), 0);
+    EXPECT_EQ(CountWhere(partition, {"s", FilterPredicate::Op::kNe, Value("a")}), 1);
+    ASSERT_TRUE(partition.SealIfNeeded(true).ok());
+  }
 }
 
 /// Property: partition query results equal brute force over the ingested

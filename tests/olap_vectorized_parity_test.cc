@@ -10,15 +10,24 @@
 /// suites in ci.sh). Index archetypes rotate per iteration so both seeds
 /// cover star-tree, sorted-range, inverted, pure-scan and validity paths
 /// with bit-packing on and off.
+///
+/// The seal-invariance fuzz below extends "exactly" across the consuming ->
+/// sealed transition: a realtime partition must merge to the same rows
+/// while its consuming segment fills, once it has sealed, and through the
+/// scalar oracle, even when cells arrive typed as another numeric type than
+/// their column and upserts have invalidated consuming rows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "olap/cluster.h"
 #include "olap/segment.h"
+#include "olap/table.h"
 
 namespace uberrt::olap {
 namespace {
@@ -291,6 +300,188 @@ TEST_P(VectorizedParityTest, VectorizedMatchesScalarOracleExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(FixedSeeds, VectorizedParityTest,
+                         ::testing::Values(0xC0FFEEULL, 0x5EEDF00DULL));
+
+/// A numeric cell spelled as either numeric type: integral values on the
+/// 0.25 grid arrive as INT or DOUBLE at random, so DOUBLE columns hold INT
+/// cells (and INT columns integral DOUBLE ones) exactly as a stream would
+/// deliver them.
+Value AnyNumeric(Rng& rng, double v) {
+  if (v == static_cast<double>(static_cast<int64_t>(v)) && rng.Chance(0.5)) {
+    return Value(static_cast<int64_t>(v));
+  }
+  return Value(v);
+}
+
+/// One random partition: key (upsert primary key), k1 INT, k2 STRING,
+/// v1 DOUBLE, v2 INT.
+TableConfig RandomSealTable(Rng& rng, int iteration, bool upsert) {
+  TableConfig config;
+  config.name = "seal_fuzz";
+  config.schema = RowSchema({{"key", ValueType::kInt},
+                             {"k1", ValueType::kInt},
+                             {"k2", ValueType::kString},
+                             {"v1", ValueType::kDouble},
+                             {"v2", ValueType::kInt}});
+  config.segment_rows_threshold = 1'000'000;  // seals only when forced
+  config.upsert_enabled = upsert;
+  if (upsert) config.primary_key_column = "key";
+  SegmentIndexConfig& index = config.index_config;
+  // Upsert tables keep row order and never pre-aggregate.
+  switch (iteration % (upsert ? 2 : 4)) {
+    case 0: break;
+    case 1: index.inverted_columns = {"k1", "v1"}; break;
+    case 2:
+      index.star_tree_dimensions = {"k1", "v1"};
+      index.star_tree_metrics = {"v1", "v2"};
+      break;
+    case 3: index.sorted_column = "v1"; break;
+  }
+  index.bit_packed_forward_index = rng.Chance(0.5);
+  return config;
+}
+
+Row RandomSealRow(Rng& rng, int64_t keys, int64_t k1_cardinality) {
+  Row row;
+  row.push_back(Value(rng.Uniform(0, keys - 1)));
+  row.push_back(rng.Chance(0.05) ? Value::Null()
+                                 : AnyNumeric(rng, rng.Uniform(0, k1_cardinality - 1)));
+  row.push_back(Value("s" + std::to_string(rng.Uniform(0, 6))));
+  // Few distinct v1 values so it groups and pins well; 0.25 grid keeps
+  // every sum exact whatever order the rows accumulate in.
+  row.push_back(rng.Chance(0.05) ? Value::Null()
+                                 : AnyNumeric(rng, 0.25 * static_cast<double>(
+                                                       rng.Uniform(0, 12))));
+  row.push_back(AnyNumeric(rng, rng.Uniform(-20, 20)));
+  return row;
+}
+
+FilterPredicate RandomSealPredicate(Rng& rng, int64_t k1_cardinality) {
+  static const FilterPredicate::Op kOps[] = {
+      FilterPredicate::Op::kEq, FilterPredicate::Op::kNe,
+      FilterPredicate::Op::kLt, FilterPredicate::Op::kLe,
+      FilterPredicate::Op::kGt, FilterPredicate::Op::kGe};
+  FilterPredicate pred;
+  pred.op = kOps[rng.Uniform(0, 5)];
+  switch (rng.Uniform(0, 3)) {
+    case 0:
+      // Half-integral targets on an INT column: never truncated.
+      pred.column = "k1";
+      pred.value = AnyNumeric(rng, 0.5 * static_cast<double>(
+                                             rng.Uniform(-2, 2 * k1_cardinality + 2)));
+      break;
+    case 1:
+      pred.column = "v1";
+      pred.value = AnyNumeric(rng, 0.25 * static_cast<double>(rng.Uniform(-1, 13)));
+      break;
+    case 2:
+      pred.column = "v2";
+      pred.value = AnyNumeric(rng, 0.5 * static_cast<double>(rng.Uniform(-42, 42)));
+      break;
+    default:
+      pred.column = "k2";
+      pred.value = Value("s" + std::to_string(rng.Uniform(0, 7)));
+      break;
+  }
+  return pred;
+}
+
+OlapQuery RandomSealQuery(Rng& rng, int64_t k1_cardinality, bool allow_limit) {
+  OlapQuery query;
+  int num_filters = static_cast<int>(rng.Uniform(0, 2));
+  for (int f = 0; f < num_filters; ++f) {
+    query.filters.push_back(RandomSealPredicate(rng, k1_cardinality));
+  }
+  if (rng.Chance(0.25)) {
+    static const std::vector<std::vector<std::string>> kSelections = {
+        {"v1"}, {"k1", "v1", "v2"}, {"key", "k2"}};
+    query.select_columns = rng.Pick(kSelections);
+    if (allow_limit && rng.Chance(0.3)) query.limit = rng.Uniform(1, 10);
+    return query;
+  }
+  static const std::vector<std::vector<std::string>> kGroups = {
+      {}, {"v1"}, {"k1"}, {"k2"}, {"k1", "v1"}, {"v1", "k2"}};
+  query.group_by = rng.Pick(kGroups);
+  query.aggregations.push_back(OlapAggregation::Count("n"));
+  query.aggregations.push_back(OlapAggregation::Sum("v1", "sum1"));
+  if (rng.Chance(0.5)) {
+    query.aggregations.push_back(OlapAggregation::Min("v1", "lo"));
+    query.aggregations.push_back(OlapAggregation::Max("v2", "hi"));
+  }
+  if (rng.Chance(0.5)) query.aggregations.push_back(OlapAggregation::Avg("v2", "mean2"));
+  return query;
+}
+
+/// Partition results merged and finalized as the broker would; selects are
+/// sorted when sealing may reorder rows (sorted column).
+Result<std::vector<Row>> MergedRows(const RealtimePartition& partition,
+                                    const TableConfig& config, OlapQuery query,
+                                    bool force_scalar) {
+  query.force_scalar = force_scalar;
+  OlapQueryStats stats;
+  Result<OlapResult> partial = partition.Execute(query, &stats);
+  if (!partial.ok()) return partial.status();
+  Result<OlapResult> merged =
+      MergeAndFinalize(query, config.schema, std::move(partial.value().rows));
+  if (!merged.ok()) return merged.status();
+  std::vector<Row> rows = std::move(merged.value().rows);
+  if (!config.index_config.sorted_column.empty() && query.aggregations.empty()) {
+    std::sort(rows.begin(), rows.end());
+  }
+  return rows;
+}
+
+class SealInvarianceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SealInvarianceTest, ConsumingSealedAndScalarMergeIdentically) {
+  Rng rng(GetParam());
+  for (int iteration = 0; iteration < 48; ++iteration) {
+    const bool upsert = iteration % 3 == 2;
+    const TableConfig config = RandomSealTable(rng, iteration, upsert);
+    RealtimePartition partition(config, 0);
+    const int64_t k1_cardinality = rng.Uniform(1, 8);
+    // Upsert keys repeat, so later versions invalidate earlier rows both in
+    // earlier sealed segments and inside the consuming segment.
+    const int64_t keys = upsert ? rng.Uniform(1, 60) : 1'000'000;
+    const int64_t sealed_rows = rng.Uniform(0, 200);
+    const int64_t consuming_rows = rng.Uniform(0, 300);
+    for (int64_t r = 0; r < sealed_rows + consuming_rows; ++r) {
+      ASSERT_TRUE(partition.Ingest(RandomSealRow(rng, keys, k1_cardinality)).ok());
+      if ((r < sealed_rows && rng.Chance(0.02)) || r + 1 == sealed_rows) {
+        ASSERT_TRUE(partition.SealIfNeeded(true).ok());
+      }
+    }
+    const bool sorted = !config.index_config.sorted_column.empty();
+    std::vector<OlapQuery> queries;
+    for (int q = 0; q < 4; ++q) {
+      queries.push_back(RandomSealQuery(rng, k1_cardinality, /*allow_limit=*/!sorted));
+    }
+    auto merged = [&](const OlapQuery& query, bool force_scalar) {
+      Result<std::vector<Row>> rows = MergedRows(partition, config, query, force_scalar);
+      EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+      return rows.ok() ? std::move(rows.value()) : std::vector<Row>{};
+    };
+
+    std::vector<std::vector<Row>> consuming, consuming_scalar;
+    for (const OlapQuery& query : queries) {
+      consuming.push_back(merged(query, false));
+      consuming_scalar.push_back(merged(query, true));
+    }
+    const int64_t segments_before = partition.NumSealedSegments();
+    ASSERT_TRUE(partition.SealIfNeeded(true).ok());
+    ASSERT_EQ(partition.NumSealedSegments(),
+              segments_before + (consuming_rows > 0 ? 1 : 0));
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const std::string where =
+          "iteration " + std::to_string(iteration) + " query " + std::to_string(q);
+      EXPECT_EQ(consuming_scalar[q], consuming[q]) << where << ": scalar oracle (consuming)";
+      EXPECT_EQ(merged(queries[q], false), consuming[q]) << where << ": sealed";
+      EXPECT_EQ(merged(queries[q], true), consuming[q]) << where << ": scalar oracle (sealed)";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FixedSeeds, SealInvarianceTest,
                          ::testing::Values(0xC0FFEEULL, 0x5EEDF00DULL));
 
 }  // namespace
