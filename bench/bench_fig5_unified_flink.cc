@@ -37,7 +37,13 @@ int Main() {
   generator.Produce(platform.streams(), "trips", 2'000).ok();
   compute::JobRunner* runner = platform.jobs()->GetRunner(sql_job.value());
   runner->WaitUntilCaughtUp(60'000).ok();
-  platform.jobs()->Tick().ok();  // periodic checkpoint
+  // Periodic checkpoint: one sweep starts the barrier round, a later sweep
+  // persists it once the sink has aligned.
+  compute::CheckpointStore checkpoints(platform.store(), "checkpoints", sql_job.value());
+  for (int i = 0; i < 10'000 && !checkpoints.LatestSequence().ok(); ++i) {
+    platform.jobs()->Tick().ok();
+    SystemClock::Instance()->SleepMs(1);
+  }
   common::FaultRule crash;
   crash.error_probability = 1.0;
   crash.max_triggers = 1;  // one-shot

@@ -173,6 +173,9 @@ Status JobManager::Tick() {
       job->state = JobState::kFinished;
       continue;
     }
+    // The checkpoint the pipeline completed since the last sweep is saved
+    // here, so object-store I/O and its retry backoff stay off the executor.
+    job->runner->PersistCompletedCheckpoint().ok();
     // Injected crash: cancel the runner exactly as a process kill would;
     // the crash-detection branch below restarts it in this same sweep.
     if (faults_ != nullptr && job->runner->IsRunning() &&
@@ -190,10 +193,11 @@ Status JobManager::Tick() {
       }
       continue;
     }
-    // Periodic checkpoint.
+    // Periodic checkpoint: start the next barrier round unless one is still
+    // in flight (at most one at a time); a later sweep persists it.
     if (job->runner_options.periodic_checkpoints &&
         ticks_ % options_.checkpoint_every_ticks == 0) {
-      job->runner->TriggerCheckpoint().ok();
+      job->runner->StartCheckpoint().ok();
     }
     // Lag-driven auto-scaling.
     Result<int64_t> lag = job->runner->SourceLag();

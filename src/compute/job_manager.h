@@ -74,8 +74,10 @@ class JobManager {
   std::vector<JobInfo> ListJobs() const;
 
   /// One monitoring sweep: detect finished/crashed jobs, restart crashed
-  /// ones from their latest checkpoint, auto-scale lagging jobs, and take
-  /// periodic checkpoints. Deterministic (no internal timer thread).
+  /// ones from their latest checkpoint, auto-scale lagging jobs, and drive
+  /// periodic checkpoints — save the one whose barriers the sink aligned on
+  /// since the last sweep, then start the next unless one is still in
+  /// flight. Deterministic (no internal timer thread).
   Status Tick();
 
   /// Attaches the process-wide fault plane. Each Tick consults

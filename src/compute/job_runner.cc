@@ -1,6 +1,8 @@
 #include "compute/job_runner.h"
 
 #include <algorithm>
+#include <chrono>
+#include <iterator>
 
 #include "common/clock.h"
 #include "common/hash.h"
@@ -22,6 +24,13 @@ constexpr size_t kSourcePollBatch = 256;
 constexpr int64_t kSourceIdleSleepMs = 1;
 /// Threads of the private pool a runner creates when given no executor.
 constexpr size_t kPrivatePoolThreads = 4;
+/// How long TriggerCheckpoint waits for the sink to align on a barrier.
+constexpr int64_t kCheckpointTimeoutMs = 30000;
+
+/// Per-upstream-channel alignment state of an instance.
+constexpr uint8_t kChannelOpen = 0;
+constexpr uint8_t kChannelAligned = 1;  ///< delivered the current barrier
+constexpr uint8_t kChannelEnded = 2;    ///< sent End; counts as aligned
 
 /// Terminal stage: delivers rows to the configured sink.
 class SinkOperator : public OperatorInstance {
@@ -69,7 +78,8 @@ struct JobRunner::PendingPush {
 /// reused key-encoding scratch buffer. Owned by exactly one task at a time
 /// (the producer's current quantum), so no locking. Elements in a pending
 /// batch are already counted in in_flight_ — a producer always flushes (to
-/// queue or stash) before ending its quantum, so quiesce never misses them.
+/// queue or stash) before ending its quantum, so WaitUntilCaughtUp never
+/// misses them.
 struct JobRunner::OutBuffer {
   std::vector<ElementBatch> pending;  ///< parallel to the wiring's queues
   std::string key_scratch;
@@ -99,6 +109,14 @@ struct JobRunner::Instance {
   TimestampMs aligned = INT64_MIN;
   OutBuffer out;                  ///< output batching, owner-task only
   std::deque<PendingPush> stash;  ///< output backpressure, owner-task only
+
+  // Barrier alignment, owner-task only.
+  std::vector<uint8_t> channel_state;  ///< kChannel* per upstream channel
+  int64_t aligning = 0;      ///< checkpoint sequence being aligned; 0 if none
+  int barriers_missing = 0;  ///< open channels still owing that barrier
+  /// Elements of aligned channels that arrived behind their barrier, in
+  /// arrival order; replayed once the instance has snapshotted.
+  std::vector<ElementBatch> held;
 };
 
 struct JobRunner::SourceState {
@@ -117,7 +135,10 @@ struct JobRunner::SourceState {
 
   // Owner-task-only fields (one poll task at a time, self-rescheduled).
   bool finishing = false;
-  bool final_sent = false;  ///< terminal watermark+End broadcast issued
+  /// Terminal watermark+End broadcast issued. Set under checkpoint_mu_, which
+  /// StartCheckpoint reads it under.
+  bool final_sent = false;
+  int64_t barrier_sequence = 0;  ///< latest checkpoint this source has cut
   std::vector<int64_t> end_targets;
   OutBuffer out;
   std::deque<PendingPush> stash;
@@ -248,6 +269,7 @@ Status JobRunner::BuildTopology() {
       inst->num_upstream = num_upstream;
       inst->is_sink = plan.is_sink;
       inst->upstream_wm.assign(static_cast<size_t>(num_upstream), INT64_MIN);
+      inst->channel_state.assign(static_cast<size_t>(num_upstream), kChannelOpen);
       inst->ends_remaining = num_upstream;
       if (plan.is_sink) {
         inst->op = std::make_unique<SinkOperator>(graph_.sink(), bus_, &records_out_);
@@ -347,7 +369,8 @@ Status JobRunner::RestoreFromCheckpoint(int64_t sequence) {
   if (!data.ok()) return data.status();
   restored_ = std::move(data.value());
   has_restored_ = true;
-  checkpoint_sequence_.store(restored_.sequence);
+  std::lock_guard<std::mutex> lock(checkpoint_mu_);
+  checkpoint_sequence_ = restored_.sequence;
   return Status::Ok();
 }
 
@@ -472,11 +495,10 @@ void JobRunner::RunSource(size_t source_index) {
     src.done.store(true);
     return;
   }
-  // busy is set before any position write and cleared after the last one, so
-  // WaitForQuiesce observing busy==false (after pausing) means no write is
-  // in progress and none will start until unpause. Every return path below
-  // flushes the output buffer first, so positions never run ahead of
-  // elements that are not yet queue-or-stash accounted.
+  // busy brackets every position write, so WaitUntilCaughtUp observing
+  // busy==false with no lag and nothing in flight means the source is idle.
+  // Every return path below flushes the output buffer first, so positions
+  // never run ahead of elements that are not yet queue-or-stash accounted.
   src.busy.store(true);
   Wiring& out = *wirings_[0];
 
@@ -492,9 +514,10 @@ void JobRunner::RunSource(size_t source_index) {
     }
     return;
   }
-  if (!flushed || pause_sources_.load()) {
-    // Backpressured or checkpoint-paused: yield. The pool's FIFO lets the
-    // downstream instance tasks (and the checkpointer) make progress.
+  EmitSourceBarrier(source_index);
+  if (!flushed) {
+    // Backpressured: yield. The pool's FIFO lets the downstream instance
+    // tasks make progress.
     src.busy.store(false);
     SystemClock::Instance()->SleepMs(1);
     if (cancel_.load() || !SubmitTask([this, source_index] { RunSource(source_index); })) {
@@ -577,6 +600,19 @@ void JobRunner::RunSource(size_t source_index) {
       }
     }
     if (caught_up) {
+      // Under checkpoint_mu_, a checkpoint either started before this and
+      // gets its barrier ahead of End, or sees final_sent and is declined.
+      int64_t barrier = 0;
+      {
+        std::lock_guard<std::mutex> lock(checkpoint_mu_);
+        barrier = CutSourceLocked(source_index);
+        src.final_sent = true;
+      }
+      if (barrier != 0) {
+        Element cut = Element::Barrier(barrier);
+        cut.from_channel = static_cast<int32_t>(source_index);
+        EmitControl(cut, out, &src.out, &src.stash);
+      }
       // Batch + stash ordering keeps these behind any pending records per
       // queue.
       Element wm = Element::Watermark(kMaxWatermark);
@@ -586,7 +622,6 @@ void JobRunner::RunSource(size_t source_index) {
       end.from_channel = static_cast<int32_t>(source_index);
       EmitControl(end, out, &src.out, &src.stash);
       FlushOut(out, &src.out, &src.stash);
-      src.final_sent = true;
       src.busy.store(false);
       if (src.stash.empty() || cancel_.load() ||
           !SubmitTask([this, source_index] { RunSource(source_index); })) {
@@ -600,6 +635,96 @@ void JobRunner::RunSource(size_t source_index) {
   if (cancel_.load() || !SubmitTask([this, source_index] { RunSource(source_index); })) {
     src.done.store(true);
   }
+}
+
+int64_t JobRunner::CutSourceLocked(size_t source_index) {
+  SourceState& src = *source_states_[source_index];
+  const int64_t sequence = barrier_sequence_.load(std::memory_order_relaxed);
+  if (sequence == src.barrier_sequence) return 0;
+  src.barrier_sequence = sequence;
+  if (checkpoint_phase_ != CheckpointPhase::kAligning ||
+      pending_checkpoint_.sequence != sequence) {
+    return 0;  // abandoned before this source got to it
+  }
+  for (size_t p = 0; p < src.positions.size(); ++p) {
+    pending_checkpoint_.entries["source." + std::to_string(source_index) + "." +
+                                std::to_string(p)] =
+        std::to_string(src.positions[p].load());
+  }
+  return sequence;
+}
+
+void JobRunner::EmitSourceBarrier(size_t source_index) {
+  SourceState& src = *source_states_[source_index];
+  if (barrier_sequence_.load(std::memory_order_acquire) == src.barrier_sequence) return;
+  int64_t barrier = 0;
+  {
+    std::lock_guard<std::mutex> lock(checkpoint_mu_);
+    barrier = CutSourceLocked(source_index);
+  }
+  if (barrier == 0) return;
+  // The positions just recorded cover exactly the records emitted so far;
+  // the barrier queues behind them (through the stash if backpressured).
+  Element cut = Element::Barrier(barrier);
+  cut.from_channel = static_cast<int32_t>(source_index);
+  EmitControl(cut, *wirings_[0], &src.out, &src.stash);
+  FlushOut(*wirings_[0], &src.out, &src.stash);
+}
+
+bool JobRunner::OnBarrier(Instance* instance, const Element& barrier) {
+  if (instance->aligning == 0) {
+    instance->aligning = barrier.event_time;
+    instance->barriers_missing = static_cast<int>(std::count(
+        instance->channel_state.begin(), instance->channel_state.end(), kChannelOpen));
+  }
+  size_t ch = static_cast<size_t>(barrier.from_channel);
+  if (ch < instance->channel_state.size() &&
+      instance->channel_state[ch] == kChannelOpen) {
+    instance->channel_state[ch] = kChannelAligned;
+    --instance->barriers_missing;
+  }
+  if (instance->barriers_missing > 0) return false;
+  CompleteAlignment(instance);
+  return true;
+}
+
+void JobRunner::CompleteAlignment(Instance* instance) {
+  const int64_t sequence = instance->aligning;
+  if (instance->is_sink) {
+    std::lock_guard<std::mutex> lock(checkpoint_mu_);
+    if (checkpoint_phase_ == CheckpointPhase::kAligning &&
+        pending_checkpoint_.sequence == sequence) {
+      checkpoint_phase_ = CheckpointPhase::kComplete;
+      checkpoint_cv_.notify_all();
+    }
+  } else {
+    // Snapshot on the instance's own task, so operator state keeps a single
+    // writer. Every graph transform keeps its own entry regardless of
+    // chaining, so checkpoints written with chaining on restore with it off
+    // and vice versa: a chain's state lives under its first transform's key
+    // and its followers (stateless by construction) store "".
+    const StagePlan& plan = plans_[static_cast<size_t>(instance->stage)];
+    const std::string index = "." + std::to_string(instance->index);
+    std::string state = instance->op->SnapshotState();
+    {
+      std::lock_guard<std::mutex> lock(checkpoint_mu_);
+      if (checkpoint_phase_ == CheckpointPhase::kAligning &&
+          pending_checkpoint_.sequence == sequence) {
+        pending_checkpoint_.entries["op." + std::to_string(plan.first) + index] =
+            std::move(state);
+        for (size_t t = plan.first + 1; t <= plan.last; ++t) {
+          pending_checkpoint_.entries["op." + std::to_string(t) + index] = "";
+        }
+      }
+    }
+    Element forward = Element::Barrier(sequence);
+    forward.from_channel = instance->index;
+    EmitControl(forward, *instance->output, &instance->out, &instance->stash);
+  }
+  for (uint8_t& state : instance->channel_state) {
+    if (state == kChannelAligned) state = kChannelOpen;
+  }
+  instance->aligning = 0;
 }
 
 bool JobRunner::ProcessControl(Instance* instance, const Element& element) {
@@ -649,6 +774,13 @@ bool JobRunner::ProcessControl(Instance* instance, const Element& element) {
     instance->op->OnWatermark(instance->aligned, &emitter);
     update_state_gauges();
   }
+  if (ch < instance->channel_state.size()) {
+    // An ended channel sends no barrier: it counts as aligned. The barrier
+    // goes downstream ahead of this instance's own End.
+    bool owed = instance->aligning != 0 && instance->channel_state[ch] == kChannelOpen;
+    instance->channel_state[ch] = kChannelEnded;
+    if (owed && --instance->barriers_missing == 0) CompleteAlignment(instance);
+  }
   if (instance->ends_remaining == 0) {
     if (instance->output != nullptr) {
       Element forward = Element::End();
@@ -661,11 +793,21 @@ bool JobRunner::ProcessControl(Instance* instance, const Element& element) {
 }
 
 bool JobRunner::ProcessBatchElements(Instance* instance, ElementBatch& batch) {
-  RunnerEmitter emitter(this, instance);
   const size_t n = batch.items.size();
+  if (n == 0) return false;
+  if (instance->aligning != 0 &&
+      instance->channel_state[static_cast<size_t>(batch.items[0].from_channel)] ==
+          kChannelAligned) {
+    // The whole batch is behind its channel's barrier: hold it back.
+    alignment_held_.fetch_add(static_cast<int64_t>(n));
+    instance->held.push_back(std::move(batch));
+    return false;
+  }
+  RunnerEmitter emitter(this, instance);
   size_t i = 0;
   while (i < n) {
-    if (batch.items[i].kind == Element::Kind::kRecord) {
+    const Element::Kind kind = batch.items[i].kind;
+    if (kind == Element::Kind::kRecord) {
       size_t j = i + 1;
       while (j < n && batch.items[j].kind == Element::Kind::kRecord) ++j;
       // Contiguous record run: one virtual call, one state-gauge update.
@@ -677,13 +819,38 @@ bool JobRunner::ProcessBatchElements(Instance* instance, ElementBatch& batch) {
       }
       instance->late_dropped.store(instance->op->late_dropped());
       i = j;
+    } else if (kind == Element::Kind::kBarrier) {
+      ++i;
+      if (!OnBarrier(instance, batch.items[i - 1])) {
+        // Other channels still owe the barrier: the rest of this batch
+        // waits behind it.
+        if (i < n) {
+          ElementBatch rest;
+          rest.items.assign(std::make_move_iterator(batch.items.begin() + i),
+                            std::make_move_iterator(batch.items.end()));
+          alignment_held_.fetch_add(static_cast<int64_t>(n - i));
+          instance->held.push_back(std::move(rest));
+        }
+        in_flight_.fetch_sub(static_cast<int64_t>(i));
+        return false;
+      }
     } else {
-      if (ProcessControl(instance, batch.items[i])) {
+      ++i;
+      if (ProcessControl(instance, batch.items[i - 1])) {
         // Final End is always the last element of the last live producer's
         // batch, so nothing follows it.
+        in_flight_.fetch_sub(static_cast<int64_t>(i));
         return true;
       }
-      ++i;
+    }
+  }
+  in_flight_.fetch_sub(static_cast<int64_t>(n));
+  if (instance->aligning == 0 && !instance->held.empty()) {
+    // Aligned and snapshotted: replay what was held back, in arrival order.
+    std::vector<ElementBatch> replay = std::move(instance->held);
+    instance->held.clear();
+    for (ElementBatch& held : replay) {
+      if (ProcessBatchElements(instance, held)) return true;
     }
   }
   return false;
@@ -730,9 +897,7 @@ void JobRunner::RunInstance(Instance* instance) {
     std::optional<ElementBatch> batch = instance->queue->TryPop();
     if (!batch.has_value()) break;
     budget -= static_cast<int>(batch->items.size());
-    bool exited = ProcessBatchElements(instance, *batch);
-    in_flight_.fetch_sub(static_cast<int64_t>(batch->items.size()));
-    if (exited) {
+    if (ProcessBatchElements(instance, *batch)) {
       instance->exiting = true;
       flush_output();
       if (!FlushStash(instance->stash)) {
@@ -763,52 +928,35 @@ void JobRunner::RunInstance(Instance* instance) {
   }
 }
 
-Status JobRunner::WaitForQuiesce(int64_t timeout_ms) {
-  TimestampMs deadline = SystemClock::Instance()->NowMs() + timeout_ms;
-  while (true) {
-    bool sources_idle = true;
-    for (auto& src : source_states_) {
-      if (src->busy.load() && !src->done.load()) sources_idle = false;
-    }
-    if (sources_idle && in_flight_.load() == 0) return Status::Ok();
-    if (SystemClock::Instance()->NowMs() > deadline) {
-      return Status::Timeout("pipeline did not quiesce");
-    }
-    SystemClock::Instance()->SleepMs(1);
+Result<int64_t> JobRunner::StartCheckpoint() {
+  std::lock_guard<std::mutex> lock(checkpoint_mu_);
+  if (!running_.load() || cancel_.load()) {
+    return Status::FailedPrecondition("job not running");
   }
+  if (checkpoint_phase_ != CheckpointPhase::kIdle) {
+    return Status::FailedPrecondition("checkpoint in flight");
+  }
+  for (const auto& src : source_states_) {
+    // A source past its final End (or stopped) cuts no more barriers, so
+    // the checkpoint is declined, as in Flink before FLIP-147.
+    if (src->final_sent || src->done.load()) {
+      return Status::FailedPrecondition("source finished");
+    }
+  }
+  pending_checkpoint_ = CheckpointData();
+  pending_checkpoint_.sequence = ++checkpoint_sequence_;
+  checkpoint_phase_ = CheckpointPhase::kAligning;
+  barrier_sequence_.store(pending_checkpoint_.sequence, std::memory_order_release);
+  return pending_checkpoint_.sequence;
 }
 
-Result<int64_t> JobRunner::TriggerCheckpoint() {
-  if (!running_.load()) return Status::FailedPrecondition("job not running");
-  pause_sources_.store(true);
-  Status quiesced = WaitForQuiesce(30000);
-  if (!quiesced.ok()) {
-    pause_sources_.store(false);
-    return quiesced;
-  }
+Result<int64_t> JobRunner::PersistCompletedCheckpoint() {
   CheckpointData data;
-  data.sequence = checkpoint_sequence_.fetch_add(1) + 1;
-  for (size_t si = 0; si < source_states_.size(); ++si) {
-    const SourceState& src = *source_states_[si];
-    for (size_t p = 0; p < src.positions.size(); ++p) {
-      data.entries["source." + std::to_string(si) + "." + std::to_string(p)] =
-          std::to_string(src.positions[p].load());
-    }
-  }
-  // Every graph transform keeps its own entry regardless of chaining, so
-  // checkpoints written with chaining on restore with it off and vice
-  // versa: a chain's state lives under its first transform's key and its
-  // followers (stateless by construction) store "".
-  for (size_t s = 0; s + 1 < stages_.size(); ++s) {
-    const StagePlan& plan = plans_[s];
-    for (auto& inst : stages_[s]) {
-      data.entries["op." + std::to_string(plan.first) + "." +
-                   std::to_string(inst->index)] = inst->op->SnapshotState();
-      for (size_t t = plan.first + 1; t <= plan.last; ++t) {
-        data.entries["op." + std::to_string(t) + "." +
-                     std::to_string(inst->index)] = "";
-      }
-    }
+  {
+    std::lock_guard<std::mutex> lock(checkpoint_mu_);
+    if (checkpoint_phase_ != CheckpointPhase::kComplete) return int64_t{0};
+    checkpoint_phase_ = CheckpointPhase::kPersisting;
+    data = std::move(pending_checkpoint_);
   }
   // Save is idempotent (same keys, same bytes), so retrying the whole write
   // after a transient store failure is safe.
@@ -816,9 +964,39 @@ Result<int64_t> JobRunner::TriggerCheckpoint() {
                      ? options_.checkpoint_retry->Run(
                            [&] { return checkpoint_store_.Save(data); })
                      : checkpoint_store_.Save(data);
-  pause_sources_.store(false);
+  {
+    std::lock_guard<std::mutex> lock(checkpoint_mu_);
+    checkpoint_phase_ = CheckpointPhase::kIdle;
+  }
+  checkpoint_cv_.notify_all();
   if (!saved.ok()) return saved;
   return data.sequence;
+}
+
+Status JobRunner::WaitForAlignment(int64_t timeout_ms) {
+  std::unique_lock<std::mutex> lock(checkpoint_mu_);
+  bool settled = checkpoint_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
+    return checkpoint_phase_ == CheckpointPhase::kIdle ||
+           checkpoint_phase_ == CheckpointPhase::kComplete;
+  });
+  return settled ? Status::Ok() : Status::Timeout("checkpoint did not align");
+}
+
+Result<int64_t> JobRunner::TriggerCheckpoint() {
+  // Settle a checkpoint already in flight first, so LATEST only moves
+  // forward.
+  UBERRT_RETURN_IF_ERROR(WaitForAlignment(kCheckpointTimeoutMs));
+  Result<int64_t> earlier = PersistCompletedCheckpoint();
+  if (!earlier.ok()) return earlier.status();
+  Result<int64_t> sequence = StartCheckpoint();
+  if (!sequence.ok()) return sequence;
+  UBERRT_RETURN_IF_ERROR(WaitForAlignment(kCheckpointTimeoutMs));
+  Result<int64_t> saved = PersistCompletedCheckpoint();
+  if (!saved.ok()) return saved.status();
+  if (saved.value() != sequence.value()) {
+    return Status::FailedPrecondition("checkpoint abandoned");
+  }
+  return sequence;
 }
 
 void JobRunner::RequestFinish() { finish_requested_.store(true); }
@@ -846,6 +1024,15 @@ void JobRunner::Cancel() {
   }
   tasks_wg_.Wait();
   running_.store(false);
+  {
+    // An unpersisted checkpoint dies with the job; LATEST stays put.
+    std::lock_guard<std::mutex> lock(checkpoint_mu_);
+    if (checkpoint_phase_ == CheckpointPhase::kAligning ||
+        checkpoint_phase_ == CheckpointPhase::kComplete) {
+      checkpoint_phase_ = CheckpointPhase::kIdle;
+    }
+  }
+  checkpoint_cv_.notify_all();
 }
 
 Status JobRunner::WaitUntilCaughtUp(int64_t timeout_ms) {

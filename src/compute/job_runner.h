@@ -2,10 +2,12 @@
 #define UBERRT_COMPUTE_JOB_RUNNER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -65,10 +67,15 @@ struct JobRunnerOptions {
 /// to the sources without stalling pool threads (deadlock-free at any pool
 /// size).
 ///
-/// Checkpoints are stop-the-world: sources pause, the pipeline drains, then
-/// source offsets and all operator state snapshot atomically to the object
-/// store (equivalent to aligned-barrier snapshots, traded for simplicity).
-/// Restores resume from the snapshot offsets, giving exactly-once state and
+/// Checkpoints are aligned barrier snapshots (Carbone et al., "Lightweight
+/// Asynchronous Snapshots for Distributed Dataflows"): each source records its
+/// offsets and emits a barrier in line with its records; an instance that has
+/// a barrier from one input channel holds that channel's later elements back
+/// until every live channel has delivered its barrier, then snapshots its own
+/// operator on its own task (operator state stays single-writer), forwards
+/// the barrier and replays what it held. The checkpoint is complete when the
+/// sink aligns; nothing pauses. At most one checkpoint is in flight. Restores
+/// resume from the snapshot offsets, giving exactly-once state and
 /// at-least-once sink delivery.
 class JobRunner {
  public:
@@ -99,9 +106,24 @@ class JobRunner {
   /// job: source offsets and operator state. Must precede Start().
   Status RestoreFromCheckpoint(int64_t sequence = -1);
 
-  /// Pauses sources, drains in-flight work, snapshots, resumes. Returns the
-  /// checkpoint sequence written.
+  /// Takes a checkpoint and persists it: settles a checkpoint already in
+  /// flight, starts a new one, waits until the sink has aligned on its
+  /// barrier and saves it (moving LATEST). Returns the sequence written.
+  /// Declined (FailedPrecondition) once a source has sent its final End;
+  /// Cancel() abandons it (FailedPrecondition, LATEST unchanged).
   Result<int64_t> TriggerCheckpoint();
+
+  /// Starts a checkpoint without waiting: the sources cut their streams at
+  /// their next poll. Returns its sequence, or FailedPrecondition when the
+  /// job is not running, a checkpoint is already in flight, or a source has
+  /// sent its final End.
+  Result<int64_t> StartCheckpoint();
+
+  /// Saves the in-flight checkpoint if the sink has aligned on it, through
+  /// the checkpoint retry policy, and moves LATEST. Returns the sequence
+  /// saved, or 0 when no checkpoint was complete. Object-store I/O runs on
+  /// the caller's thread, never on the executor.
+  Result<int64_t> PersistCompletedCheckpoint();
 
   /// Asks sources to stop at the topics' current end offsets; the pipeline
   /// then flushes all windows and terminates ("bounded" execution — also how
@@ -139,6 +161,8 @@ class JobRunner {
   int64_t LateDropped() const;
   /// Rows that failed to decode from the source topics.
   int64_t DecodeErrors() const { return decode_errors_.load(); }
+  /// Elements held back by barrier alignment (Flink's alignment buffer).
+  int64_t AlignmentHeld() const { return alignment_held_.load(); }
 
   const JobGraph& graph() const { return graph_; }
 
@@ -160,13 +184,28 @@ class JobRunner {
   /// One poll cycle of a source, then self-reschedule until done/cancelled.
   void RunSource(size_t source_index);
   /// Runs every element of a channel batch through the operator, handing
-  /// contiguous record runs to ProcessBatch. True when the instance saw its
-  /// final End and must exit.
+  /// contiguous record runs to ProcessBatch. Elements of a channel that is
+  /// aligned on a barrier are held back instead; consumed elements leave
+  /// in_flight_, held ones stay counted until replayed. True when the
+  /// instance saw its final End and must exit.
   bool ProcessBatchElements(Instance* instance, ElementBatch& batch);
   /// Watermark / End handling; true on final End.
   bool ProcessControl(Instance* instance, const Element& element);
-  /// Appends a control element (watermark / End) to every target's pending
-  /// batch — control rides behind the records that preceded it.
+  /// Marks a barrier's channel aligned; true when it was the last one.
+  bool OnBarrier(Instance* instance, const Element& barrier);
+  /// Snapshots the instance's operator into the in-flight checkpoint (or,
+  /// at the sink, completes it), forwards the barrier and reopens channels.
+  void CompleteAlignment(Instance* instance);
+  /// Source side of a checkpoint: if a checkpoint started since the
+  /// source's last poll, records its positions and emits its barrier.
+  void EmitSourceBarrier(size_t source_index);
+  /// With checkpoint_mu_ held: records the source's positions into the
+  /// aligning checkpoint it has not cut yet; returns that sequence, or 0.
+  int64_t CutSourceLocked(size_t source_index);
+  /// Waits until no checkpoint is aligning (none in flight, or complete).
+  Status WaitForAlignment(int64_t timeout_ms);
+  /// Appends a control element (watermark / barrier / End) to every target's
+  /// pending batch — control rides behind the records that preceded it.
   void EmitControl(const Element& element, Wiring& wiring, OutBuffer* out,
                    std::deque<PendingPush>* stash);
   /// Pushes one target's pending batch downstream (stash on backpressure).
@@ -183,7 +222,6 @@ class JobRunner {
   /// WaitGroup-tracked submit; false if the pool rejected the task.
   bool SubmitTask(std::function<void()> fn);
   Status BuildTopology();
-  Status WaitForQuiesce(int64_t timeout_ms);
 
   JobGraph graph_;
   stream::MessageBus* bus_;
@@ -205,13 +243,25 @@ class JobRunner {
   std::atomic<bool> running_{false};
   std::atomic<bool> finished_{false};
   std::atomic<bool> cancel_{false};
-  std::atomic<bool> pause_sources_{false};
   std::atomic<bool> finish_requested_{false};
   std::atomic<int64_t> in_flight_{0};
   std::atomic<int64_t> records_in_{0};
   std::atomic<int64_t> records_out_{0};
   std::atomic<int64_t> decode_errors_{0};
-  std::atomic<int64_t> checkpoint_sequence_{0};
+  std::atomic<int64_t> alignment_held_{0};
+
+  /// The in-flight checkpoint: kAligning from StartCheckpoint until the sink
+  /// aligns, kComplete until a persister takes it, kPersisting while it is
+  /// saved. Cancel() abandons an aligning or complete one.
+  enum class CheckpointPhase { kIdle, kAligning, kComplete, kPersisting };
+  mutable std::mutex checkpoint_mu_;
+  std::condition_variable checkpoint_cv_;
+  CheckpointPhase checkpoint_phase_ = CheckpointPhase::kIdle;  // checkpoint_mu_
+  CheckpointData pending_checkpoint_;                          // checkpoint_mu_
+  int64_t checkpoint_sequence_ = 0;  ///< last sequence started; checkpoint_mu_
+  /// Sequence of the latest checkpoint started, read lock-free by the
+  /// sources at each poll to see whether they owe a barrier.
+  std::atomic<int64_t> barrier_sequence_{0};
 
   CheckpointData restored_;  // applied during BuildTopology
   bool has_restored_ = false;

@@ -21,7 +21,10 @@ namespace uberrt::compute {
 /// comparisons at every node.
 ///
 /// Erase uses tombstones plus a free list of dead entry slots; the table
-/// rehashes (dropping tombstones) when live+tombstone occupancy passes 75%.
+/// rehashes (dropping tombstones) when live+tombstone occupancy passes 75%,
+/// at the same capacity when tombstones are at least as many as live
+/// entries, so insert/erase churn (a join keyed by unique ids) keeps the
+/// slot array sized by live keys, not by total inserts.
 /// Iteration order is unspecified — callers that need the legacy
 /// std::map<(start,key)> ordering (snapshot blobs, fire order) sort the
 /// collected entries, which is O(k log k) in the touched entries only.
@@ -40,6 +43,8 @@ class FlatKeyedMap {
 
   size_t size() const { return live_; }
   bool empty() const { return live_ == 0; }
+  /// Slot-array length (tests pin that churn does not grow it).
+  size_t capacity() const { return slots_.size(); }
 
   /// Pointer to the value for (hash, key, start), or nullptr.
   V* Find(uint64_t hash, std::string_view key, TimestampMs start) {
@@ -64,7 +69,7 @@ class FlatKeyedMap {
   V& FindOrInsert(uint64_t hash, std::string_view key, TimestampMs start,
                   bool* inserted) {
     if ((live_ + tombstones_ + 1) * 4 > slots_.size() * 3) {
-      Rehash(slots_.size() * 2);
+      Rehash(tombstones_ >= live_ ? slots_.size() : slots_.size() * 2);
     }
     size_t mask = slots_.size() - 1;
     size_t slot = Mix(hash, start) & mask;

@@ -20,9 +20,9 @@ class Emitter {
   virtual void Emit(Row row, TimestampMs event_time) = 0;
 };
 
-/// One parallel instance of a transformation. Driven by a single runner
-/// thread, so implementations need no internal locking; state snapshots are
-/// taken only while the pipeline is quiesced.
+/// One parallel instance of a transformation. Driven by one runner task at
+/// a time, so implementations need no internal locking; state snapshots are
+/// taken on that same task when the instance aligns on a checkpoint barrier.
 class OperatorInstance {
  public:
   virtual ~OperatorInstance() = default;

@@ -19,6 +19,71 @@ int64_t ApproxRowBytes(const Row& row) {
   return bytes;
 }
 
+/// Writes state rows straight into a storage::EncodeRowBatch blob (u32 row
+/// count; per row a u32 length and EncodeRow's u32 field count plus tagged
+/// fields), with no Row of Values and no per-row encode temporary. Length
+/// prefixes are reserved and patched once their bytes are written.
+class StateBlobWriter {
+ public:
+  explicit StateBlobWriter(size_t rows) { PutU32(static_cast<uint32_t>(rows)); }
+
+  void BeginRow(size_t fields) {
+    row_at_ = Reserve();
+    PutU32(static_cast<uint32_t>(fields));
+  }
+  void EndRow() { Patch(row_at_); }
+
+  void Int(int64_t v) {
+    Tag(ValueType::kInt);
+    PutU64(static_cast<uint64_t>(v));
+  }
+  void Double(double v) {
+    Tag(ValueType::kDouble);
+    uint64_t bits;
+    std::memcpy(&bits, &v, 8);
+    PutU64(bits);
+  }
+  void String(std::string_view v) {
+    Tag(ValueType::kString);
+    PutU32(static_cast<uint32_t>(v.size()));
+    out_.append(v);
+  }
+  /// A string field holding EncodeRow(row).
+  void EncodedRow(const Row& row) {
+    Tag(ValueType::kString);
+    size_t at = Reserve();
+    PutU32(static_cast<uint32_t>(row.size()));
+    for (const Value& v : row) AppendValue(&out_, v);
+    Patch(at);
+  }
+
+  std::string Take() { return std::move(out_); }
+
+ private:
+  void Tag(ValueType type) { out_.push_back(static_cast<char>(type)); }
+  void PutU32(uint32_t v) {
+    char buf[4];
+    std::memcpy(buf, &v, 4);
+    out_.append(buf, 4);
+  }
+  void PutU64(uint64_t v) {
+    char buf[8];
+    std::memcpy(buf, &v, 8);
+    out_.append(buf, 8);
+  }
+  size_t Reserve() {
+    out_.append(4, '\0');
+    return out_.size() - 4;
+  }
+  void Patch(size_t at) {
+    uint32_t len = static_cast<uint32_t>(out_.size() - at - 4);
+    std::memcpy(&out_[at], &len, 4);
+  }
+
+  std::string out_;
+  size_t row_at_ = 0;
+};
+
 }  // namespace
 
 void EncodeKeyTo(const Row& row, const std::vector<int>& key_indices,
@@ -253,28 +318,31 @@ std::string WindowAggregateOperator::SnapshotState() const {
   // [key(string), start, end, (count,sum,min,max) x aggregates]
   // Sorted by (start, key), so blobs are byte-identical to the pre-flat-hash
   // std::map encoding and deterministic across runs.
-  std::vector<Row> rows;
-  rows.reserve(windows_.size());
-  windows_.ForEach([&](const FlatKeyedMap<WindowState>::Entry& entry) {
-    const WindowState& ws = entry.value;
-    Row row;
-    row.push_back(Value(entry.key));
-    row.push_back(Value(static_cast<int64_t>(entry.start)));
-    row.push_back(Value(static_cast<int64_t>(ws.end)));
-    row.push_back(Value(EncodeRow(ws.key_values)));
+  using Entry = FlatKeyedMap<WindowState>::Entry;
+  std::vector<const Entry*> entries;
+  entries.reserve(windows_.size());
+  windows_.ForEach([&](const Entry& entry) { entries.push_back(&entry); });
+  std::sort(entries.begin(), entries.end(), [](const Entry* a, const Entry* b) {
+    if (a->start != b->start) return a->start < b->start;
+    return a->key < b->key;
+  });
+  StateBlobWriter blob(entries.size());
+  for (const Entry* entry : entries) {
+    const WindowState& ws = entry->value;
+    blob.BeginRow(4 + ws.accumulators.size() * 4);
+    blob.String(entry->key);
+    blob.Int(entry->start);
+    blob.Int(ws.end);
+    blob.EncodedRow(ws.key_values);
     for (const Accumulator& acc : ws.accumulators) {
-      row.push_back(Value(acc.count));
-      row.push_back(Value(acc.sum));
-      row.push_back(Value(acc.min));
-      row.push_back(Value(acc.max));
+      blob.Int(acc.count);
+      blob.Double(acc.sum);
+      blob.Double(acc.min);
+      blob.Double(acc.max);
     }
-    rows.push_back(std::move(row));
-  });
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    if (a[1].AsInt() != b[1].AsInt()) return a[1].AsInt() < b[1].AsInt();
-    return a[0].AsString() < b[0].AsString();
-  });
-  return storage::EncodeRowBatch(rows);
+    blob.EndRow();
+  }
+  return blob.Take();
 }
 
 Status WindowAggregateOperator::RestoreState(const std::string& blob) {
@@ -389,34 +457,35 @@ std::string WindowJoinOperator::SnapshotState() const {
   // One row per buffered record: [key, start, side, event_time, enc_row].
   // Buckets sorted by (start, key) with left rows before right, matching the
   // pre-flat-hash std::map blob byte for byte.
-  struct Bucket {
-    TimestampMs start;
-    const std::string* key;
-    const Buffers* buffers;
-  };
-  std::vector<Bucket> buckets;
+  using Entry = FlatKeyedMap<Buffers>::Entry;
+  std::vector<const Entry*> buckets;
   buckets.reserve(buffers_.size());
-  buffers_.ForEach([&](const FlatKeyedMap<Buffers>::Entry& entry) {
-    buckets.push_back({entry.start, &entry.key, &entry.value});
+  size_t rows = 0;
+  buffers_.ForEach([&](const Entry& entry) {
+    buckets.push_back(&entry);
+    rows += entry.value.left.size() + entry.value.right.size();
   });
-  std::sort(buckets.begin(), buckets.end(), [](const Bucket& a, const Bucket& b) {
-    if (a.start != b.start) return a.start < b.start;
-    return *a.key < *b.key;
+  std::sort(buckets.begin(), buckets.end(), [](const Entry* a, const Entry* b) {
+    if (a->start != b->start) return a->start < b->start;
+    return a->key < b->key;
   });
-  std::vector<Row> rows;
-  for (const Bucket& bucket : buckets) {
-    for (const auto& [row, t] : bucket.buffers->left) {
-      rows.push_back({Value(*bucket.key), Value(static_cast<int64_t>(bucket.start)),
-                      Value(static_cast<int64_t>(0)), Value(static_cast<int64_t>(t)),
-                      Value(EncodeRow(row))});
-    }
-    for (const auto& [row, t] : bucket.buffers->right) {
-      rows.push_back({Value(*bucket.key), Value(static_cast<int64_t>(bucket.start)),
-                      Value(static_cast<int64_t>(1)), Value(static_cast<int64_t>(t)),
-                      Value(EncodeRow(row))});
+  StateBlobWriter blob(rows);
+  for (const Entry* bucket : buckets) {
+    int64_t side = 0;
+    for (const auto* buffer : {&bucket->value.left, &bucket->value.right}) {
+      for (const auto& [row, t] : *buffer) {
+        blob.BeginRow(5);
+        blob.String(bucket->key);
+        blob.Int(bucket->start);
+        blob.Int(side);
+        blob.Int(t);
+        blob.EncodedRow(row);
+        blob.EndRow();
+      }
+      ++side;
     }
   }
-  return storage::EncodeRowBatch(rows);
+  return blob.Take();
 }
 
 Status WindowJoinOperator::RestoreState(const std::string& blob) {

@@ -223,6 +223,10 @@ int64_t OlapCluster::DrainArchival(Table* t, bool* emptied) const {
   int64_t archived = 0;
   while (!t->archival_queue.empty()) {
     PendingArchive& pending = t->archival_queue.front();
+    if (pending.blob.empty()) {
+      pending.blob = EncodeSegmentFrame(pending.frame);
+      pending.frame = SegmentFrame();
+    }
     // Backed-off retries inside ArchivePut; if the store is still down after
     // that, the segment stays queued (and counted) for the next drain.
     if (!ArchivePut(pending.key, pending.blob).ok()) break;
@@ -252,13 +256,17 @@ Status OlapCluster::HandleSeal(Table* t, Server* server, int32_t partition_id,
   const auto& sealed_list = sp->data->sealed();
   const RealtimePartition::SealedSegment& sealed_entry = sealed_list.back();
   std::string key = SegmentKey(t->config.name, segment->name());
+  // The frame is encoded by the drain, outside rw_mu. Only the validity bits
+  // can still change (later upserts), so they are copied now: the archived
+  // snapshot is the one at seal time, as restore replays from row contents.
   SegmentFrame frame;
   frame.seq = sealed_entry.handle->seq();
   frame.min_time = sealed_entry.handle->min_time();
   frame.max_time = sealed_entry.handle->max_time();
-  frame.validity = sealed_entry.validity;
+  if (sealed_entry.validity != nullptr) {
+    frame.validity = std::make_shared<std::vector<bool>>(*sealed_entry.validity);
+  }
   frame.segment = segment;
-  std::string blob = EncodeSegmentFrame(frame);
 
   if (t->options.archival_mode == ArchivalMode::kSyncCentralized) {
     // One controller, synchronous backup: consumption halts until the
@@ -269,7 +277,7 @@ Status OlapCluster::HandleSeal(Table* t, Server* server, int32_t partition_id,
     // store outage.
     sp->archival_blocked = true;
     std::lock_guard<std::mutex> alock(t->archival_mu);
-    t->archival_queue.push_back({std::move(key), std::move(blob)});
+    t->archival_queue.push_back({std::move(key), std::move(frame), {}});
     return Status::Ok();  // seal kept; consumption halted until the drain
   }
 
@@ -290,7 +298,7 @@ Status OlapCluster::HandleSeal(Table* t, Server* server, int32_t partition_id,
     (void)peer;
   }
   std::lock_guard<std::mutex> alock(t->archival_mu);
-  t->archival_queue.push_back({key, std::move(blob)});
+  t->archival_queue.push_back({std::move(key), std::move(frame), {}});
   return Status::Ok();
 }
 

@@ -78,7 +78,8 @@ struct OlapClusterOptions {
 ///     block queries on another table); ingestion/seal/kill/recover take it
 ///     exclusive.
 ///   - The archival queue has its own `archival_mu` (lock order:
-///     rw_mu -> archival_mu) so DrainArchivalQueue never blocks queries.
+///     rw_mu -> archival_mu) so DrainArchivalQueue never blocks queries;
+///     archival frames are encoded there too, never under rw_mu.
 ///   - With an executor attached, Query fans the per-server sub-queries out
 ///     to the pool and gathers before MergeAndFinalize; without one it runs
 ///     the servers inline (serial baseline for the benches).
@@ -199,9 +200,14 @@ class OlapCluster {
     // stream partition id -> data
     std::map<int32_t, ServerPartition> partitions;
   };
+  /// A sealed segment awaiting archival. HandleSeal queues the frame under
+  /// rw_mu with a copy of the validity bits (the segment is immutable); the
+  /// drain encodes it under archival_mu only, keeping the encoded blob
+  /// across failed puts.
   struct PendingArchive {
     std::string key;
-    std::string blob;
+    SegmentFrame frame;
+    std::string blob;  ///< empty until the first drain attempt
   };
   struct ReplicaEntry {
     int32_t home_server = 0;

@@ -255,7 +255,16 @@ TEST(ChaosSoakTest, CheckpointCrashRestartKeepsCountsExact) {
 
   produce(0, 40);
   ASSERT_TRUE(manager.GetRunner(id.value())->WaitUntilCaughtUp(20000).ok());
-  ASSERT_TRUE(manager.Tick().ok());  // checkpoint (retried through the flaky store)
+  // One sweep starts a barrier checkpoint, a later one saves it (retried
+  // through the flaky store): tick until LATEST names it.
+  compute::CheckpointStore checkpoints(&store, "checkpoints", id.value());
+  bool checkpointed = false;
+  for (int tick = 0; tick < 10000 && !checkpointed; ++tick) {
+    ASSERT_TRUE(manager.Tick().ok());
+    checkpointed = checkpoints.LatestSequence().ok();
+    if (!checkpointed) SystemClock::Instance()->SleepMs(1);
+  }
+  ASSERT_TRUE(checkpointed);
 
   // One-shot crash on the fault plane; the same sweep restarts from the
   // checkpoint (restore also retried through the flaky store).

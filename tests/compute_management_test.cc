@@ -31,6 +31,22 @@ Message Event(const std::string& key, double v, int64_t ts) {
   return m;
 }
 
+/// Periodic checkpoints complete asynchronously: one sweep starts a barrier
+/// round and a later sweep saves it. Ticks until the job's LATEST is a
+/// sequence above `after`, and returns it.
+int64_t TickUntilCheckpointed(JobManager* manager, storage::ObjectStore* store,
+                              const std::string& id, int64_t after = 0) {
+  CheckpointStore checkpoints(store, "checkpoints", id);
+  for (int i = 0; i < 10000; ++i) {
+    EXPECT_TRUE(manager->Tick().ok());
+    Result<int64_t> latest = checkpoints.LatestSequence();
+    if (latest.ok() && latest.value() > after) return latest.value();
+    SystemClock::Instance()->SleepMs(1);
+  }
+  ADD_FAILURE() << "no checkpoint persisted for " << id;
+  return 0;
+}
+
 class JobManagerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -90,7 +106,7 @@ TEST_F(JobManagerTest, CrashedJobAutoRestartsFromCheckpointWithCorrectState) {
   for (int i = 0; i < 40; ++i) broker_->Produce("events", Event("A", 1.0, 1000 + i)).ok();
   JobRunner* runner = manager_->GetRunner(id.value());
   ASSERT_TRUE(runner->WaitUntilCaughtUp(10000).ok());
-  ASSERT_TRUE(manager_->Tick().ok());  // takes a checkpoint
+  ASSERT_GT(TickUntilCheckpointed(manager_.get(), store_.get(), id.value()), 0);
 
   // Crash via the fault plane: a one-shot "job.crash.<id>" rule. The same
   // Tick sweep that detects the dead runner restarts it from the checkpoint.
@@ -132,7 +148,7 @@ TEST_F(JobManagerTest, LagTriggersAutoScaleWithStateRedistribution) {
     broker_->Produce("events", Event("k" + std::to_string(i % 7), 1.0, 1000 + i)).ok();
   }
   ASSERT_TRUE(manager_->GetRunner(id.value())->WaitUntilCaughtUp(10000).ok());
-  ASSERT_TRUE(manager_->Tick().ok());
+  ASSERT_GT(TickUntilCheckpointed(manager_.get(), store_.get(), id.value()), 0);
 
   // Build a big backlog, then tick: the monitor should scale up. The
   // sources are held (every fetch fails; RunSource retries) while the

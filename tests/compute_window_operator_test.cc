@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "common/hash.h"
 #include "common/rng.h"
 #include "storage/archive.h"
 
@@ -325,6 +329,86 @@ TEST(WindowJoinOperatorTest, LegacyFormatBlobRoundTripsBitwise) {
   ASSERT_EQ(out.rows.size(), 1u);
   EXPECT_DOUBLE_EQ(out.rows[0][1].AsDouble(), 1.0);
   EXPECT_DOUBLE_EQ(out.rows[0][2].AsDouble(), 5.0);
+}
+
+// The snapshot writers append fields straight into the blob; every value
+// type (and an empty state) must still come out exactly as EncodeRowBatch.
+TEST(WindowJoinOperatorTest, SnapshotBytesMatchRowBatchForEveryValueType) {
+  WindowJoinOperator empty(JoinSpec(), LeftSchema(), RightSchema());
+  EXPECT_EQ(empty.SnapshotState(), storage::EncodeRowBatch({}));
+
+  Row left{Value("a"), Value(-2.5), Value::Null(), Value(true), Value(int64_t{-7})};
+  Row right{Value("a"), Value(std::string()), Value(false)};
+  std::string key = EncodeRow({Value("a")});
+  std::vector<Row> blob_rows;
+  blob_rows.push_back({Value(key), Value(int64_t{-1000}), Value(int64_t{0}),
+                       Value(int64_t{-990}), Value(EncodeRow(left))});
+  blob_rows.push_back({Value(key), Value(int64_t{-1000}), Value(int64_t{1}),
+                       Value(int64_t{-995}), Value(EncodeRow(right))});
+  std::string blob = storage::EncodeRowBatch(blob_rows);
+  WindowJoinOperator op(JoinSpec(), LeftSchema(), RightSchema());
+  ASSERT_TRUE(op.RestoreState(blob).ok());
+  EXPECT_EQ(op.SnapshotState(), blob);
+}
+
+TEST(WindowAggregateOperatorTest, SnapshotBytesMatchRowBatchForEveryValueType) {
+  TransformSpec spec = AggSpec(WindowSpec::Tumbling(100));
+  WindowAggregateOperator empty(spec, EventSchema());
+  EXPECT_EQ(empty.SnapshotState(), storage::EncodeRowBatch({}));
+
+  std::vector<Row> blob_rows;
+  for (const Row& key_values :
+       {Row{Value::Null()}, Row{Value(int64_t{3})}, Row{Value(1.5)}, Row{Value(true)},
+        Row{Value("z")}}) {
+    Row row{Value(EncodeRow(key_values)), Value(int64_t{-100}), Value(int64_t{0}),
+            Value(EncodeRow(key_values))};
+    for (size_t a = 0; a < spec.aggregates.size(); ++a) {
+      row.push_back(Value(int64_t{2}));
+      row.push_back(Value(-0.0));
+      row.push_back(Value(-1.25));
+      row.push_back(Value(1e300));
+    }
+    blob_rows.push_back(std::move(row));
+  }
+  std::sort(blob_rows.begin(), blob_rows.end(), [](const Row& a, const Row& b) {
+    return a[0].AsString() < b[0].AsString();
+  });
+  std::string blob = storage::EncodeRowBatch(blob_rows);
+  WindowAggregateOperator op(spec, EventSchema());
+  ASSERT_TRUE(op.RestoreState(blob).ok());
+  EXPECT_EQ(op.SnapshotState(), blob);
+}
+
+// Insert/erase churn over unique keys (a join keyed by a unique id) must not
+// grow the slot array with the number of inserts: once tombstones are at
+// least as many as live entries the table rehashes at the same capacity.
+TEST(FlatKeyedMapTest, TombstoneChurnKeepsCapacityBounded) {
+  constexpr int kLive = 64;
+  FlatKeyedMap<int> map;
+  std::string key;
+  auto key_of = [&](int i) {
+    key = "id-" + std::to_string(i);
+    return Fnv1a64(key);
+  };
+  for (int i = 0; i < 1'000'000; ++i) {
+    bool inserted = false;
+    uint64_t hash = key_of(i);
+    map.FindOrInsert(hash, key, 0, &inserted) = i;
+    ASSERT_TRUE(inserted);
+    if (i >= kLive) {
+      uint64_t old_hash = key_of(i - kLive);
+      ASSERT_TRUE(map.Erase(old_hash, key, 0));
+    }
+  }
+  EXPECT_EQ(map.size(), static_cast<size_t>(kLive));
+  EXPECT_LE(map.capacity(), static_cast<size_t>(8 * kLive));
+  // Every live key still resolves after the in-place rehashes.
+  for (int i = 1'000'000 - kLive; i < 1'000'000; ++i) {
+    uint64_t hash = key_of(i);
+    int* value = map.Find(hash, key, 0);
+    ASSERT_NE(value, nullptr);
+    EXPECT_EQ(*value, i);
+  }
 }
 
 /// Property: for random streams, windowed counts from the operator equal a
