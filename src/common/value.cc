@@ -1,36 +1,25 @@
 #include "common/value.h"
 
-#include <cstring>
+#include <bit>
+#include <cmath>
 #include <sstream>
+
+#include "common/bytes.h"
 
 namespace uberrt {
 
 namespace {
 
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-bool ReadU32(std::string_view data, size_t* pos, uint32_t* out) {
-  if (*pos + 4 > data.size()) return false;
-  std::memcpy(out, data.data() + *pos, 4);
-  *pos += 4;
-  return true;
-}
-
-bool ReadU64(std::string_view data, size_t* pos, uint64_t* out) {
-  if (*pos + 8 > data.size()) return false;
-  std::memcpy(out, data.data() + *pos, 8);
-  *pos += 8;
-  return true;
+/// Three-way exact comparison of an INT and a DOUBLE, without rounding the
+/// int through double. NaN is equivalent to everything, as between doubles.
+int CompareIntDouble(int64_t i, double d) {
+  if (std::isnan(d)) return 0;
+  if (d >= 0x1p63) return -1;
+  if (d < -0x1p63) return 1;
+  const auto t = static_cast<int64_t>(d);  // truncates; exact in range
+  if (i != t) return i < t ? -1 : 1;
+  const double frac = d - static_cast<double>(t);
+  return frac > 0.0 ? -1 : (frac < 0.0 ? 1 : 0);
 }
 
 }  // namespace
@@ -74,6 +63,16 @@ bool Value::operator<(const Value& other) const {
   }
   bool a_num = a != ValueType::kString;
   bool b_num = b != ValueType::kString;
+  // Numbers compare exactly by value across types: two INTs as int64_t (not
+  // through double, which merges 2^53 and 2^53 + 1), an INT and a DOUBLE
+  // without rounding, so a mixed sort stays a strict weak order.
+  if (a == ValueType::kInt && b == ValueType::kInt) return AsInt() < other.AsInt();
+  if (a == ValueType::kInt && b == ValueType::kDouble) {
+    return CompareIntDouble(AsInt(), other.AsDouble()) < 0;
+  }
+  if (a == ValueType::kDouble && b == ValueType::kInt) {
+    return CompareIntDouble(other.AsInt(), AsDouble()) > 0;
+  }
   if (a_num && b_num) return ToNumeric() < other.ToNumeric();
   if (a == ValueType::kString && b == ValueType::kString) {
     return AsString() < other.AsString();
@@ -106,21 +105,14 @@ void AppendValue(std::string* out, const Value& v) {
     case ValueType::kNull:
       break;
     case ValueType::kInt:
-      AppendU64(out, static_cast<uint64_t>(v.AsInt()));
+      bytes::AppendU64(out, static_cast<uint64_t>(v.AsInt()));
       break;
-    case ValueType::kDouble: {
-      uint64_t bits;
-      double d = v.AsDouble();
-      std::memcpy(&bits, &d, 8);
-      AppendU64(out, bits);
+    case ValueType::kDouble:
+      bytes::AppendU64(out, std::bit_cast<uint64_t>(v.AsDouble()));
       break;
-    }
-    case ValueType::kString: {
-      const std::string& s = v.AsString();
-      AppendU32(out, static_cast<uint32_t>(s.size()));
-      out->append(s);
+    case ValueType::kString:
+      bytes::AppendString(out, v.AsString());
       break;
-    }
     case ValueType::kBool:
       out->push_back(v.AsBool() ? 1 : 0);
       break;
@@ -129,7 +121,7 @@ void AppendValue(std::string* out, const Value& v) {
 
 std::string EncodeRow(const Row& row) {
   std::string out;
-  AppendU32(&out, static_cast<uint32_t>(row.size()));
+  bytes::AppendU32(&out, static_cast<uint32_t>(row.size()));
   for (const Value& v : row) AppendValue(&out, v);
   return out;
 }
@@ -137,7 +129,7 @@ std::string EncodeRow(const Row& row) {
 Result<Row> DecodeRow(std::string_view data) {
   size_t pos = 0;
   uint32_t count = 0;
-  if (!ReadU32(data, &pos, &count)) {
+  if (!bytes::ReadU32(data, &pos, &count)) {
     return Status::Corruption("row header truncated");
   }
   // Every field needs at least its 1-byte tag; a count beyond the remaining
@@ -154,24 +146,20 @@ Result<Row> DecodeRow(std::string_view data) {
         break;
       case ValueType::kInt: {
         uint64_t raw;
-        if (!ReadU64(data, &pos, &raw)) return Status::Corruption("int truncated");
+        if (!bytes::ReadU64(data, &pos, &raw)) return Status::Corruption("int truncated");
         row.push_back(Value(static_cast<int64_t>(raw)));
         break;
       }
       case ValueType::kDouble: {
         uint64_t bits;
-        if (!ReadU64(data, &pos, &bits)) return Status::Corruption("double truncated");
-        double d;
-        std::memcpy(&d, &bits, 8);
-        row.push_back(Value(d));
+        if (!bytes::ReadU64(data, &pos, &bits)) return Status::Corruption("double truncated");
+        row.push_back(Value(std::bit_cast<double>(bits)));
         break;
       }
       case ValueType::kString: {
-        uint32_t len;
-        if (!ReadU32(data, &pos, &len)) return Status::Corruption("string length truncated");
-        if (pos + len > data.size()) return Status::Corruption("string body truncated");
-        row.push_back(Value(std::string(data.substr(pos, len))));
-        pos += len;
+        std::string_view s;
+        if (!bytes::ReadString(data, &pos, &s)) return Status::Corruption("string truncated");
+        row.push_back(Value(std::string(s)));
         break;
       }
       case ValueType::kBool: {

@@ -114,7 +114,7 @@ Result<MicroBatchReport> RunMicroBatchWindowAggregate(
       Row out = it->second.key_values;
       out.push_back(Value(static_cast<int64_t>(it->first.first)));
       for (size_t a = 0; a < aggregates.size(); ++a) {
-        Accumulator acc;
+        AggAccumulator acc;
         for (const Row& row : it->second.rows) {
           int idx = agg_indices[a];
           acc.Add(idx >= 0 && idx < static_cast<int>(row.size())

@@ -1,29 +1,10 @@
 #include "compute/checkpoint.h"
 
-#include <cstring>
+#include "common/bytes.h"
 
 namespace uberrt::compute {
 
 namespace {
-
-void AppendString(std::string* out, const std::string& s) {
-  uint32_t len = static_cast<uint32_t>(s.size());
-  char buf[4];
-  std::memcpy(buf, &len, 4);
-  out->append(buf, 4);
-  out->append(s);
-}
-
-bool ReadString(const std::string& data, size_t* pos, std::string* out) {
-  if (*pos + 4 > data.size()) return false;
-  uint32_t len;
-  std::memcpy(&len, data.data() + *pos, 4);
-  *pos += 4;
-  if (*pos + len > data.size()) return false;
-  out->assign(data, *pos, len);
-  *pos += len;
-  return true;
-}
 
 /// Exception-free decimal parse. Checkpoint blobs come off the object store
 /// and may be truncated or corrupt; std::stoll would throw on them.
@@ -50,11 +31,11 @@ bool ParseInt64(const std::string& s, int64_t* out) {
 
 std::string CheckpointData::Encode() const {
   std::string out;
-  AppendString(&out, std::to_string(sequence));
-  AppendString(&out, std::to_string(entries.size()));
+  bytes::AppendString(&out, std::to_string(sequence));
+  bytes::AppendString(&out, std::to_string(entries.size()));
   for (const auto& [key, value] : entries) {
-    AppendString(&out, key);
-    AppendString(&out, value);
+    bytes::AppendString(&out, key);
+    bytes::AppendString(&out, value);
   }
   return out;
 }
@@ -63,7 +44,7 @@ Result<CheckpointData> CheckpointData::Decode(const std::string& blob) {
   CheckpointData data;
   size_t pos = 0;
   std::string sequence_str, count_str;
-  if (!ReadString(blob, &pos, &sequence_str) || !ReadString(blob, &pos, &count_str)) {
+  if (!bytes::ReadString(blob, &pos, &sequence_str) || !bytes::ReadString(blob, &pos, &count_str)) {
     return Status::Corruption("checkpoint header truncated");
   }
   int64_t count = 0;
@@ -78,7 +59,7 @@ Result<CheckpointData> CheckpointData::Decode(const std::string& blob) {
   }
   for (int64_t i = 0; i < count; ++i) {
     std::string key, value;
-    if (!ReadString(blob, &pos, &key) || !ReadString(blob, &pos, &value)) {
+    if (!bytes::ReadString(blob, &pos, &key) || !bytes::ReadString(blob, &pos, &value)) {
       return Status::Corruption("checkpoint entry truncated");
     }
     data.entries.emplace(std::move(key), std::move(value));

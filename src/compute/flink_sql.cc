@@ -16,40 +16,6 @@ using sql::SelectItem;
 using sql::SelectStmt;
 using sql::WindowClause;
 
-std::string UpperCopy(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
-  return s;
-}
-
-Result<AggregateSpec> CompileAggregate(const Expr& call, const std::string& output) {
-  AggregateSpec spec;
-  spec.output_name = output;
-  std::string fn = UpperCopy(call.name);
-  if (fn == "COUNT") {
-    spec.kind = AggregateSpec::Kind::kCount;
-    // COUNT(*) or COUNT(col) — both count rows here (no NULL-skipping
-    // distinction in this dialect).
-    return spec;
-  }
-  if (call.children.size() != 1 || call.children[0]->kind != Expr::Kind::kColumn) {
-    return Status::InvalidArgument(fn + " expects a single column argument");
-  }
-  spec.field = call.children[0]->name;
-  if (fn == "SUM") {
-    spec.kind = AggregateSpec::Kind::kSum;
-  } else if (fn == "MIN") {
-    spec.kind = AggregateSpec::Kind::kMin;
-  } else if (fn == "MAX") {
-    spec.kind = AggregateSpec::Kind::kMax;
-  } else if (fn == "AVG") {
-    spec.kind = AggregateSpec::Kind::kAvg;
-  } else {
-    return Status::InvalidArgument("unsupported aggregate: " + fn);
-  }
-  return spec;
-}
-
 /// Infers a result type for a scalar expression (best-effort; used to name
 /// and type projection outputs).
 ValueType InferType(const Expr& expr, const RowSchema& schema) {
@@ -202,10 +168,9 @@ Result<JobGraph> CompileStreamingSql(const std::string& sql,
   // Aggregate select items in select order; validate the scalar ones.
   std::vector<AggregateSpec> aggregates;
   for (const SelectItem& item : stmt->items) {
-    if (item.expr->kind == Expr::Kind::kCall &&
-        sql::IsAggregateFunction(item.expr->name)) {
+    if (item.expr->kind == Expr::Kind::kCall) {
       Result<AggregateSpec> spec =
-          CompileAggregate(*item.expr, sql::SelectItemName(item));
+          sql::CompileAggregate(*item.expr, sql::SelectItemName(item));
       if (!spec.ok()) return spec.status();
       aggregates.push_back(std::move(spec.value()));
     } else if (item.expr->kind == Expr::Kind::kColumn) {

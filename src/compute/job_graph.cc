@@ -13,9 +13,7 @@ RowSchema WindowAggregateOutputSchema(const RowSchema& input,
   }
   fields.push_back({"window_start", ValueType::kInt});
   for (const AggregateSpec& agg : aggregates) {
-    ValueType type =
-        agg.kind == AggregateSpec::Kind::kCount ? ValueType::kInt : ValueType::kDouble;
-    fields.push_back({agg.output_name, type});
+    fields.push_back({agg.output_name, agg.ResultType()});
   }
   return RowSchema(fields);
 }

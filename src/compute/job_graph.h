@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/aggregate.h"
 #include "common/clock.h"
 #include "common/status.h"
 #include "common/value.h"
@@ -41,29 +42,8 @@ struct WindowSpec {
   }
 };
 
-/// One aggregation inside a window (or a global group-by).
-struct AggregateSpec {
-  enum class Kind { kCount, kSum, kMin, kMax, kAvg };
-  Kind kind = Kind::kCount;
-  std::string field;        ///< input field (ignored for kCount)
-  std::string output_name;  ///< name of the result column
-
-  static AggregateSpec Count(std::string output_name) {
-    return {Kind::kCount, "", std::move(output_name)};
-  }
-  static AggregateSpec Sum(std::string field, std::string output_name) {
-    return {Kind::kSum, std::move(field), std::move(output_name)};
-  }
-  static AggregateSpec Min(std::string field, std::string output_name) {
-    return {Kind::kMin, std::move(field), std::move(output_name)};
-  }
-  static AggregateSpec Max(std::string field, std::string output_name) {
-    return {Kind::kMax, std::move(field), std::move(output_name)};
-  }
-  static AggregateSpec Avg(std::string field, std::string output_name) {
-    return {Kind::kAvg, std::move(field), std::move(output_name)};
-  }
-};
+/// One aggregation inside a window: the shared spec of common/aggregate.h.
+using ::uberrt::AggregateSpec;
 
 /// A stream source: a topic (or, for backfill, an archive table standing in
 /// for the topic) plus how to extract event time from rows.

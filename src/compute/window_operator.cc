@@ -1,8 +1,9 @@
 #include "compute/window_operator.h"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 
+#include "common/bytes.h"
 #include "common/hash.h"
 #include "storage/archive.h"
 
@@ -25,34 +26,33 @@ int64_t ApproxRowBytes(const Row& row) {
 /// prefixes are reserved and patched once their bytes are written.
 class StateBlobWriter {
  public:
-  explicit StateBlobWriter(size_t rows) { PutU32(static_cast<uint32_t>(rows)); }
+  explicit StateBlobWriter(size_t rows) {
+    bytes::AppendU32(&out_, static_cast<uint32_t>(rows));
+  }
 
   void BeginRow(size_t fields) {
     row_at_ = Reserve();
-    PutU32(static_cast<uint32_t>(fields));
+    bytes::AppendU32(&out_, static_cast<uint32_t>(fields));
   }
   void EndRow() { Patch(row_at_); }
 
   void Int(int64_t v) {
     Tag(ValueType::kInt);
-    PutU64(static_cast<uint64_t>(v));
+    bytes::AppendU64(&out_, static_cast<uint64_t>(v));
   }
   void Double(double v) {
     Tag(ValueType::kDouble);
-    uint64_t bits;
-    std::memcpy(&bits, &v, 8);
-    PutU64(bits);
+    bytes::AppendU64(&out_, std::bit_cast<uint64_t>(v));
   }
   void String(std::string_view v) {
     Tag(ValueType::kString);
-    PutU32(static_cast<uint32_t>(v.size()));
-    out_.append(v);
+    bytes::AppendString(&out_, v);
   }
   /// A string field holding EncodeRow(row).
   void EncodedRow(const Row& row) {
     Tag(ValueType::kString);
     size_t at = Reserve();
-    PutU32(static_cast<uint32_t>(row.size()));
+    bytes::AppendU32(&out_, static_cast<uint32_t>(row.size()));
     for (const Value& v : row) AppendValue(&out_, v);
     Patch(at);
   }
@@ -61,23 +61,12 @@ class StateBlobWriter {
 
  private:
   void Tag(ValueType type) { out_.push_back(static_cast<char>(type)); }
-  void PutU32(uint32_t v) {
-    char buf[4];
-    std::memcpy(buf, &v, 4);
-    out_.append(buf, 4);
-  }
-  void PutU64(uint64_t v) {
-    char buf[8];
-    std::memcpy(buf, &v, 8);
-    out_.append(buf, 8);
-  }
   size_t Reserve() {
     out_.append(4, '\0');
     return out_.size() - 4;
   }
   void Patch(size_t at) {
-    uint32_t len = static_cast<uint32_t>(out_.size() - at - 4);
-    std::memcpy(&out_[at], &len, 4);
+    bytes::PutU32(&out_[at], static_cast<uint32_t>(out_.size() - at - 4));
   }
 
   std::string out_;
@@ -91,10 +80,7 @@ void EncodeKeyTo(const Row& row, const std::vector<int>& key_indices,
   out->clear();
   // Same bytes as EncodeRow of the key-field Row: u32 count then tagged
   // values, with out-of-range indices encoded as nulls.
-  uint32_t count = static_cast<uint32_t>(key_indices.size());
-  char buf[4];
-  std::memcpy(buf, &count, 4);
-  out->append(buf, 4);
+  bytes::AppendU32(out, static_cast<uint32_t>(key_indices.size()));
   for (int idx : key_indices) {
     if (idx >= 0 && idx < static_cast<int>(row.size())) {
       AppendValue(out, row[static_cast<size_t>(idx)]);
@@ -116,22 +102,6 @@ std::vector<int> ResolveIndices(const RowSchema& schema,
   out.reserve(fields.size());
   for (const std::string& f : fields) out.push_back(schema.FieldIndex(f));
   return out;
-}
-
-Value Accumulator::Finish(AggregateSpec::Kind kind) const {
-  switch (kind) {
-    case AggregateSpec::Kind::kCount:
-      return Value(count);
-    case AggregateSpec::Kind::kSum:
-      return Value(sum);
-    case AggregateSpec::Kind::kMin:
-      return Value(count == 0 ? 0.0 : min);
-    case AggregateSpec::Kind::kMax:
-      return Value(count == 0 ? 0.0 : max);
-    case AggregateSpec::Kind::kAvg:
-      return Value(count == 0 ? 0.0 : sum / static_cast<double>(count));
-  }
-  return Value::Null();
 }
 
 // --- WindowAggregateOperator -------------------------------------------
@@ -176,6 +146,15 @@ int64_t WindowAggregateOperator::WindowStateBytes(const WindowState& ws) const {
          static_cast<int64_t>(spec_.aggregates.size()) * 40 + 48;
 }
 
+void WindowAggregateOperator::Accumulate(const Row& row, WindowState* ws) const {
+  for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
+    int idx = agg_indices_[a];
+    ws->accumulators[a].Add(idx >= 0 && idx < static_cast<int>(row.size())
+                                ? row[static_cast<size_t>(idx)].ToNumeric()
+                                : 0.0);
+  }
+}
+
 void WindowAggregateOperator::AddToWindow(uint64_t key_hash, std::string_view key,
                                           const Row& source_row, TimestampMs start,
                                           TimestampMs end) {
@@ -187,14 +166,7 @@ void WindowAggregateOperator::AddToWindow(uint64_t key_hash, std::string_view ke
     ws.accumulators.resize(spec_.aggregates.size());
     state_bytes_ += WindowStateBytes(ws);
   }
-  for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
-    int idx = agg_indices_[a];
-    double v = 0.0;
-    if (idx >= 0 && idx < static_cast<int>(source_row.size())) {
-      v = source_row[static_cast<size_t>(idx)].ToNumeric();
-    }
-    ws.accumulators[a].Add(v);
-  }
+  Accumulate(source_row, &ws);
 }
 
 void WindowAggregateOperator::AddToSession(uint64_t key_hash, std::string_view key,
@@ -203,7 +175,7 @@ void WindowAggregateOperator::AddToSession(uint64_t key_hash, std::string_view k
   // of the same key and merge them.
   TimestampMs new_start = t;
   TimestampMs new_end = t + spec_.window.gap_ms;
-  std::vector<Accumulator> merged(spec_.aggregates.size());
+  std::vector<AggAccumulator> merged(spec_.aggregates.size());
   std::vector<TimestampMs> to_erase;
   windows_.ForEachMutable([&](FlatKeyedMap<WindowState>::Entry& entry) {
     if (entry.hash != key_hash || entry.key != key) return;
@@ -211,19 +183,7 @@ void WindowAggregateOperator::AddToSession(uint64_t key_hash, std::string_view k
     if (entry.start <= new_end && ws.end >= new_start) {
       new_start = std::min(new_start, entry.start);
       new_end = std::max(new_end, ws.end);
-      for (size_t a = 0; a < merged.size(); ++a) {
-        const Accumulator& acc = ws.accumulators[a];
-        if (acc.count > 0) {
-          if (merged[a].count == 0) {
-            merged[a] = acc;
-          } else {
-            merged[a].count += acc.count;
-            merged[a].sum += acc.sum;
-            merged[a].min = std::min(merged[a].min, acc.min);
-            merged[a].max = std::max(merged[a].max, acc.max);
-          }
-        }
-      }
+      for (size_t a = 0; a < merged.size(); ++a) merged[a].Merge(ws.accumulators[a]);
       to_erase.push_back(entry.start);
     }
   });
@@ -238,14 +198,7 @@ void WindowAggregateOperator::AddToSession(uint64_t key_hash, std::string_view k
   ws.end = new_end;
   ws.accumulators = std::move(merged);
   state_bytes_ += WindowStateBytes(ws);
-  for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
-    int idx = agg_indices_[a];
-    double v = 0.0;
-    if (idx >= 0 && idx < static_cast<int>(source_row.size())) {
-      v = source_row[static_cast<size_t>(idx)].ToNumeric();
-    }
-    ws.accumulators[a].Add(v);
-  }
+  Accumulate(source_row, &ws);
 }
 
 void WindowAggregateOperator::ProcessRecord(const Element& element, Emitter* out) {
@@ -329,12 +282,12 @@ std::string WindowAggregateOperator::SnapshotState() const {
   StateBlobWriter blob(entries.size());
   for (const Entry* entry : entries) {
     const WindowState& ws = entry->value;
-    blob.BeginRow(4 + ws.accumulators.size() * 4);
+    blob.BeginRow(4 + ws.accumulators.size() * kAccumulatorFields);
     blob.String(entry->key);
     blob.Int(entry->start);
     blob.Int(ws.end);
     blob.EncodedRow(ws.key_values);
-    for (const Accumulator& acc : ws.accumulators) {
+    for (const AggAccumulator& acc : ws.accumulators) {
       blob.Int(acc.count);
       blob.Double(acc.sum);
       blob.Double(acc.min);
@@ -351,7 +304,7 @@ Status WindowAggregateOperator::RestoreState(const std::string& blob) {
   windows_.Clear();
   state_bytes_ = 0;
   for (const Row& row : rows.value()) {
-    size_t expected = 4 + spec_.aggregates.size() * 4;
+    size_t expected = 4 + spec_.aggregates.size() * kAccumulatorFields;
     if (row.size() != expected) return Status::Corruption("window state row size");
     const std::string& key = row[0].AsString();
     TimestampMs start = row[1].AsInt();
@@ -363,12 +316,9 @@ Status WindowAggregateOperator::RestoreState(const std::string& blob) {
     ws.key_values = std::move(key_values.value());
     ws.accumulators.clear();
     for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
-      Accumulator acc;
-      acc.count = row[4 + a * 4].AsInt();
-      acc.sum = row[5 + a * 4].AsDouble();
-      acc.min = row[6 + a * 4].AsDouble();
-      acc.max = row[7 + a * 4].AsDouble();
-      ws.accumulators.push_back(acc);
+      Result<AggAccumulator> acc = ReadAccumulator(row, 4 + a * kAccumulatorFields);
+      if (!acc.ok()) return acc.status();
+      ws.accumulators.push_back(acc.value());
     }
     state_bytes_ += WindowStateBytes(ws);
   }

@@ -11,31 +11,6 @@
 
 namespace uberrt::compute {
 
-/// Incremental aggregate accumulator (one per AggregateSpec per window).
-/// Constant size regardless of how many records flow in — this is the
-/// Flink-style incremental state the paper contrasts with Spark's
-/// materialize-the-batch approach (Section 4.2, 5-10x memory claim).
-struct Accumulator {
-  int64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-
-  void Add(double v) {
-    if (count == 0) {
-      min = v;
-      max = v;
-    } else {
-      if (v < min) min = v;
-      if (v > max) max = v;
-    }
-    ++count;
-    sum += v;
-  }
-
-  Value Finish(AggregateSpec::Kind kind) const;
-};
-
 /// Keyed event-time window aggregation: tumbling, sliding and session
 /// windows with count/sum/min/max/avg aggregates, allowed lateness and
 /// late-record dropping. Output rows are
@@ -59,7 +34,7 @@ class WindowAggregateOperator : public OperatorInstance {
   struct WindowState {
     Row key_values;
     TimestampMs end = 0;  ///< exclusive
-    std::vector<Accumulator> accumulators;
+    std::vector<AggAccumulator> accumulators;
   };
 
   /// Window start times the event timestamp falls into (non-session).
@@ -71,6 +46,8 @@ class WindowAggregateOperator : public OperatorInstance {
                    TimestampMs start, TimestampMs end);
   void AddToSession(uint64_t key_hash, std::string_view key, const Row& source_row,
                     TimestampMs t);
+  /// Adds `row`'s aggregate inputs to the window's accumulators.
+  void Accumulate(const Row& row, WindowState* ws) const;
   void Fire(TimestampMs start, const WindowState& ws, Emitter* out);
   Row KeyValues(const Row& row) const;
   int64_t WindowStateBytes(const WindowState& ws) const;

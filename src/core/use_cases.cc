@@ -150,8 +150,8 @@ Result<olap::OlapResult> RestaurantManagerApp::SalesByItemOlap(int64_t restauran
   query.filters.push_back(
       olap::FilterPredicate::Eq("restaurant_id", Value(restaurant_id)));
   query.group_by = {"item"};
-  query.aggregations = {olap::OlapAggregation::Sum("sales", "total_sales"),
-                        olap::OlapAggregation::Sum("orders", "orders")};
+  query.aggregations = {AggregateSpec::Sum("sales", "total_sales"),
+                        AggregateSpec::Sum("orders", "orders")};
   return platform_->QueryOlap(options_.table, query, kActor);
 }
 

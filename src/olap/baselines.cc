@@ -145,8 +145,8 @@ Result<OlapResult> EsLikeStore::Query(const OlapQuery& query) const {
     }
     std::vector<const std::vector<Value>*> agg_data(query.aggregations.size(), nullptr);
     for (size_t a = 0; a < query.aggregations.size(); ++a) {
-      if (query.aggregations[a].column.empty()) continue;
-      int idx = schema_.FieldIndex(query.aggregations[a].column);
+      if (query.aggregations[a].field.empty()) continue;
+      int idx = schema_.FieldIndex(query.aggregations[a].field);
       if (idx < 0) return Status::InvalidArgument("unknown aggregate column");
       agg_data[a] = &Fielddata(idx);
     }

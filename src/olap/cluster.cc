@@ -40,10 +40,8 @@ Result<OlapResult> MergeAndFinalize(const OlapQuery& query,
       fields.push_back({g, idx >= 0 ? table_schema.fields()[static_cast<size_t>(idx)].type
                                     : ValueType::kString});
     }
-    for (const OlapAggregation& agg : query.aggregations) {
-      fields.push_back({agg.output_name,
-                        agg.kind == OlapAggregation::Kind::kCount ? ValueType::kInt
-                                                                  : ValueType::kDouble});
+    for (const AggregateSpec& agg : query.aggregations) {
+      fields.push_back({agg.output_name, agg.ResultType()});
     }
   } else {
     for (const std::string& s : query.select_columns) {
@@ -92,7 +90,7 @@ Result<OlapResult> MergeAndFinalize(const OlapQuery& query,
     for (auto& [key, entry] : groups) {
       Row row = std::move(entry.key_values);
       for (size_t a = 0; a < query.aggregations.size(); ++a) {
-        row.push_back(entry.accs[a].Finalize(query.aggregations[a].kind));
+        row.push_back(entry.accs[a].Finish(query.aggregations[a].kind));
       }
       result.rows.push_back(std::move(row));
     }
@@ -288,14 +286,12 @@ Status OlapCluster::HandleSeal(Table* t, Server* server, int32_t partition_id,
   for (int32_t offset = 1;
        offset < static_cast<int32_t>(t->servers.size()) && replicas_wanted > 0;
        ++offset) {
-    int32_t peer = (server->id + offset) % static_cast<int32_t>(t->servers.size());
     ReplicaEntry replica;
     replica.home_server = server->id;
     replica.home_partition = partition_id;
     replica.copy = sealed_entry;  // shares the immutable Segment
     t->replicas[segment->name()].push_back(std::move(replica));
     --replicas_wanted;
-    (void)peer;
   }
   std::lock_guard<std::mutex> alock(t->archival_mu);
   t->archival_queue.push_back({std::move(key), std::move(frame), {}});
@@ -784,7 +780,7 @@ Result<RecoveryReport> OlapCluster::RecoverServer(const std::string& table,
       continue;
     }
     // The archival frame carries seal seq, time bounds and upsert validity;
-    // legacy blobs (bare segments) decode with conservative defaults.
+    // a blob that is not a frame is Corruption and counts as lost.
     Result<SegmentFrame> restored = DecodeSegmentFrame(blob.value());
     if (!restored.ok()) {
       ++report.segments_lost;
@@ -805,10 +801,6 @@ Result<RecoveryReport> OlapCluster::RecoverServer(const std::string& table,
     if (pit == server.partitions.end()) continue;
     if (pit->second.data->HasSegment(segment_name)) continue;
     SegmentFrame& frame = restored.value();
-    if (frame.seq < 0) {
-      // Legacy blob: recover the seal order from the segment name.
-      frame.seq = std::stol(segment_name.substr(s_pos + 2));
-    }
     RealtimePartition::SealedSegment entry;
     entry.handle = SegmentHandle::Create(frame.segment, frame.seq, frame.min_time,
                                          frame.max_time, frame.validity, key,

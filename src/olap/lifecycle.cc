@@ -1,8 +1,9 @@
 #include "olap/lifecycle.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
+
+#include "common/bytes.h"
 
 namespace uberrt::olap {
 
@@ -10,40 +11,22 @@ namespace uberrt::olap {
 
 namespace {
 
-void FrameAppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-bool FrameReadU64(const std::string& data, size_t* pos, uint64_t* out) {
-  if (*pos + 8 > data.size()) return false;
-  std::memcpy(out, data.data() + *pos, 8);
-  *pos += 8;
-  return true;
-}
-
 constexpr uint64_t kFrameMagic = 0x314745535F545255ULL;  // "URT_SEG1"
 
 /// Parses the frame header into `out` (everything but the segment), leaving
-/// `*pos` at the start of the segment blob. Legacy bare blobs (no magic)
-/// return Ok with `*legacy` set and `*pos` = 0: conservative defaults, the
-/// whole blob is the segment.
-Status ParseFrameHeader(const std::string& blob, SegmentFrame* out, size_t* pos,
-                        bool* legacy) {
-  *pos = 0;
-  *legacy = false;
+/// `*pos` at the start of the segment blob. A blob without the magic is
+/// Corruption.
+Status ParseFrameHeader(const std::string& blob, SegmentFrame* out, size_t* pos) {
   size_t p = 0;
   uint64_t magic = 0;
-  if (!FrameReadU64(blob, &p, &magic) || magic != kFrameMagic) {
-    *legacy = true;
-    return Status::Ok();
+  if (!bytes::ReadU64(blob, &p, &magic) || magic != kFrameMagic) {
+    return Status::Corruption("archived segment frame: bad magic");
   }
   auto corrupt = [] { return Status::Corruption("archived segment frame truncated"); };
   uint64_t seq, min_time, max_time, has_validity;
-  if (!FrameReadU64(blob, &p, &seq) || !FrameReadU64(blob, &p, &min_time) ||
-      !FrameReadU64(blob, &p, &max_time) ||
-      !FrameReadU64(blob, &p, &has_validity)) {
+  if (!bytes::ReadU64(blob, &p, &seq) || !bytes::ReadU64(blob, &p, &min_time) ||
+      !bytes::ReadU64(blob, &p, &max_time) ||
+      !bytes::ReadU64(blob, &p, &has_validity)) {
     return corrupt();
   }
   out->seq = static_cast<int64_t>(seq);
@@ -51,13 +34,13 @@ Status ParseFrameHeader(const std::string& blob, SegmentFrame* out, size_t* pos,
   out->max_time = static_cast<TimestampMs>(max_time);
   if (has_validity != 0) {
     uint64_t num_bits;
-    if (!FrameReadU64(blob, &p, &num_bits)) return corrupt();
+    if (!bytes::ReadU64(blob, &p, &num_bits)) return corrupt();
     const uint64_t num_words = (num_bits + 63) / 64;
     if (num_words > (blob.size() - p) / 8) return corrupt();
     auto validity = std::make_shared<std::vector<bool>>(num_bits, true);
     for (uint64_t w = 0; w < num_words; ++w) {
       uint64_t word;
-      if (!FrameReadU64(blob, &p, &word)) return corrupt();
+      if (!bytes::ReadU64(blob, &p, &word)) return corrupt();
       const uint64_t base = w * 64;
       for (uint64_t b = 0; b < 64 && base + b < num_bits; ++b) {
         (*validity)[base + b] = ((word >> b) & 1) != 0;
@@ -73,26 +56,26 @@ Status ParseFrameHeader(const std::string& blob, SegmentFrame* out, size_t* pos,
 
 std::string EncodeSegmentFrame(const SegmentFrame& frame) {
   std::string out;
-  FrameAppendU64(&out, kFrameMagic);
-  FrameAppendU64(&out, static_cast<uint64_t>(frame.seq));
-  FrameAppendU64(&out, static_cast<uint64_t>(frame.min_time));
-  FrameAppendU64(&out, static_cast<uint64_t>(frame.max_time));
+  bytes::AppendU64(&out, kFrameMagic);
+  bytes::AppendU64(&out, static_cast<uint64_t>(frame.seq));
+  bytes::AppendU64(&out, static_cast<uint64_t>(frame.min_time));
+  bytes::AppendU64(&out, static_cast<uint64_t>(frame.max_time));
   if (frame.validity == nullptr) {
-    FrameAppendU64(&out, 0);
+    bytes::AppendU64(&out, 0);
   } else {
-    FrameAppendU64(&out, 1);
-    FrameAppendU64(&out, frame.validity->size());
+    bytes::AppendU64(&out, 1);
+    bytes::AppendU64(&out, frame.validity->size());
     uint64_t word = 0;
     int bit = 0;
     for (size_t i = 0; i < frame.validity->size(); ++i) {
       if ((*frame.validity)[i]) word |= 1ULL << bit;
       if (++bit == 64) {
-        FrameAppendU64(&out, word);
+        bytes::AppendU64(&out, word);
         word = 0;
         bit = 0;
       }
     }
-    if (bit > 0) FrameAppendU64(&out, word);
+    if (bit > 0) bytes::AppendU64(&out, word);
   }
   out.append(frame.segment->Serialize());
   return out;
@@ -101,10 +84,8 @@ std::string EncodeSegmentFrame(const SegmentFrame& frame) {
 Result<SegmentFrame> DecodeSegmentFrame(const std::string& blob) {
   SegmentFrame frame;
   size_t pos = 0;
-  bool legacy = false;
-  UBERRT_RETURN_IF_ERROR(ParseFrameHeader(blob, &frame, &pos, &legacy));
-  Result<std::shared_ptr<Segment>> segment =
-      Segment::Deserialize(legacy ? blob : blob.substr(pos));
+  UBERRT_RETURN_IF_ERROR(ParseFrameHeader(blob, &frame, &pos));
+  Result<std::shared_ptr<Segment>> segment = Segment::Deserialize(blob.substr(pos));
   if (!segment.ok()) return segment.status();
   frame.segment = std::move(segment.value());
   if (frame.validity != nullptr &&
@@ -118,9 +99,8 @@ Result<std::shared_ptr<Segment>> DecodeSegmentFrameLazy(
     std::shared_ptr<const std::string> blob) {
   SegmentFrame header;  // validity/seq/bounds discarded: the handle keeps them
   size_t pos = 0;
-  bool legacy = false;
-  UBERRT_RETURN_IF_ERROR(ParseFrameHeader(*blob, &header, &pos, &legacy));
-  return Segment::DeserializeLazy(std::move(blob), legacy ? 0 : pos);
+  UBERRT_RETURN_IF_ERROR(ParseFrameHeader(*blob, &header, &pos));
+  return Segment::DeserializeLazy(std::move(blob), pos);
 }
 
 // --- SegmentHandle -----------------------------------------------------------

@@ -44,8 +44,8 @@ struct SegmentFrame {
 };
 
 std::string EncodeSegmentFrame(const SegmentFrame& frame);
-/// Eager decode (recovery path): every column materializes now. Legacy
-/// blobs (bare segments, no frame) decode with conservative defaults.
+/// Eager decode (recovery path): every column materializes now. A blob
+/// without the frame magic is Corruption.
 Result<SegmentFrame> DecodeSegmentFrame(const std::string& blob);
 /// Warm-tier decode: frame metadata is skipped (the live handle keeps the
 /// authoritative seq/time-bounds/validity) and the segment decodes lazily

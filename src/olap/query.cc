@@ -21,9 +21,9 @@ std::string CanonicalQueryKey(const OlapQuery& query) {
   key.append("sel|");
   for (const std::string& c : query.select_columns) AppendField(&key, c);
   key.append("|agg|");
-  for (const OlapAggregation& agg : query.aggregations) {
+  for (const AggregateSpec& agg : query.aggregations) {
     key.push_back(static_cast<char>('0' + static_cast<int>(agg.kind)));
-    AppendField(&key, agg.column);
+    AppendField(&key, agg.field);
     AppendField(&key, agg.output_name);
   }
   // Filters are one AND set: predicate order cannot change the result, so

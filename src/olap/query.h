@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/aggregate.h"
 #include "common/clock.h"
 #include "common/value.h"
 
@@ -26,29 +27,9 @@ struct FilterPredicate {
   }
 };
 
-/// Aggregation requested from the OLAP layer.
-struct OlapAggregation {
-  enum class Kind { kCount, kSum, kMin, kMax, kAvg };
-  Kind kind = Kind::kCount;
-  std::string column;  ///< ignored for kCount
-  std::string output_name;
-
-  static OlapAggregation Count(std::string output) {
-    return {Kind::kCount, "", std::move(output)};
-  }
-  static OlapAggregation Sum(std::string column, std::string output) {
-    return {Kind::kSum, std::move(column), std::move(output)};
-  }
-  static OlapAggregation Min(std::string column, std::string output) {
-    return {Kind::kMin, std::move(column), std::move(output)};
-  }
-  static OlapAggregation Max(std::string column, std::string output) {
-    return {Kind::kMax, std::move(column), std::move(output)};
-  }
-  static OlapAggregation Avg(std::string column, std::string output) {
-    return {Kind::kAvg, std::move(column), std::move(output)};
-  }
-};
+/// Aggregation requested from the OLAP layer: the shared spec of
+/// common/aggregate.h (`field` is the aggregated column).
+using OlapAggregation = AggregateSpec;
 
 /// The limited-SQL query shape the OLAP layer serves (paper Section 3,
 /// "OLAP"): filters, aggregations, group by, order by, limit — but no joins
@@ -57,7 +38,11 @@ struct OlapQuery {
   /// Raw selection mode: project these columns (empty + no aggregations is
   /// invalid). Mutually exclusive with aggregations.
   std::vector<std::string> select_columns;
-  std::vector<OlapAggregation> aggregations;
+  /// Segments return *partial* rows — group values followed by one
+  /// accumulator (AppendAccumulator layout) per aggregation — which the
+  /// broker merges across segments and servers and then finishes
+  /// (scatter-gather-merge, Section 4.3).
+  std::vector<AggregateSpec> aggregations;
   std::vector<FilterPredicate> filters;  ///< ANDed
   std::vector<std::string> group_by;
   /// Output column to order by ("" = none).
@@ -85,29 +70,6 @@ struct OlapQuery {
 /// sorted; values use the typed EncodeRow bytes, never ToString). The table
 /// name is NOT part of the key — the cache itself is per-table.
 std::string CanonicalQueryKey(const OlapQuery& query);
-
-/// Mergeable partial aggregate. Segments return *partial* rows — group
-/// values followed by one 4-value accumulator (count, sum, min, max) per
-/// aggregation — which the broker merges across segments and servers and
-/// then finalizes (scatter-gather-merge, Section 4.3).
-struct AggAccumulator {
-  int64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-
-  void Add(double v);
-  void Merge(const AggAccumulator& other);
-  Value Finalize(OlapAggregation::Kind kind) const;
-};
-
-/// Number of Row fields one serialized accumulator occupies.
-inline constexpr size_t kAccumulatorFields = 4;
-
-/// Appends [count, sum, min, max] to a partial row.
-void AppendAccumulator(Row* row, const AggAccumulator& acc);
-/// Reads an accumulator back from a partial row at `offset`.
-Result<AggAccumulator> ReadAccumulator(const Row& row, size_t offset);
 
 /// Per-query execution statistics (observability + bench assertions).
 struct OlapQueryStats {

@@ -1,57 +1,19 @@
 #include "olap/segment.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <numeric>
 
+#include "common/bytes.h"
 #include "common/hash.h"
 
 namespace uberrt::olap {
 
 namespace {
-
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-void AppendString(std::string* out, const std::string& s) {
-  AppendU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-bool ReadU32(const std::string& data, size_t* pos, uint32_t* out) {
-  if (*pos + 4 > data.size()) return false;
-  std::memcpy(out, data.data() + *pos, 4);
-  *pos += 4;
-  return true;
-}
-
-bool ReadU64(const std::string& data, size_t* pos, uint64_t* out) {
-  if (*pos + 8 > data.size()) return false;
-  std::memcpy(out, data.data() + *pos, 8);
-  *pos += 8;
-  return true;
-}
-
-bool ReadString(const std::string& data, size_t* pos, std::string* out) {
-  uint32_t len;
-  if (!ReadU32(data, pos, &len)) return false;
-  if (*pos + len > data.size()) return false;
-  out->assign(data, *pos, len);
-  *pos += len;
-  return true;
-}
 
 int64_t ValueMemoryBytes(const Value& v) {
   int64_t bytes = static_cast<int64_t>(sizeof(Value));
@@ -124,23 +86,13 @@ uint64_t ValueHash(const Value& v) {
   if (v.type() == ValueType::kString) return Fnv1a64(v.AsString());
   double d = v.ToNumeric();
   if (d == 0.0) d = 0.0;
-  uint64_t h;
-  std::memcpy(&h, &d, sizeof(h));
+  uint64_t h = std::bit_cast<uint64_t>(d);
   // fmix64 (MurmurHash3): small integers have all-zero low mantissa bits.
   h ^= h >> 33;
   h *= 0xFF51AFD7ED558CCDULL;
   h ^= h >> 33;
   h *= 0xC4CEB9FE1A85EC53ULL;
   return h ^ (h >> 33);
-}
-
-/// Big-endian u32: lexicographic order of the encoded bytes equals numeric
-/// order of the ids, so map-keyed group emission matches the vectorized
-/// engine's packed-key sort order exactly.
-void AppendU32BE(std::string* out, uint32_t v) {
-  char buf[4] = {static_cast<char>(v >> 24), static_cast<char>(v >> 16),
-                 static_cast<char>(v >> 8), static_cast<char>(v)};
-  out->append(buf, 4);
 }
 
 }  // namespace
@@ -202,61 +154,6 @@ Result<BitPackedVector> BitPackedVector::FromWords(int bits, size_t size,
   v.size_ = size;
   v.words_ = std::move(words);
   return v;
-}
-
-// --- AggAccumulator helpers (shared partial-aggregate layout) -------------
-
-void AggAccumulator::Add(double v) {
-  if (count == 0) {
-    min = v;
-    max = v;
-  } else {
-    if (v < min) min = v;
-    if (v > max) max = v;
-  }
-  ++count;
-  sum += v;
-}
-
-void AggAccumulator::Merge(const AggAccumulator& other) {
-  if (other.count == 0) return;
-  if (count == 0) {
-    *this = other;
-    return;
-  }
-  count += other.count;
-  sum += other.sum;
-  if (other.min < min) min = other.min;
-  if (other.max > max) max = other.max;
-}
-
-Value AggAccumulator::Finalize(OlapAggregation::Kind kind) const {
-  switch (kind) {
-    case OlapAggregation::Kind::kCount: return Value(count);
-    case OlapAggregation::Kind::kSum: return Value(sum);
-    case OlapAggregation::Kind::kMin: return Value(count == 0 ? 0.0 : min);
-    case OlapAggregation::Kind::kMax: return Value(count == 0 ? 0.0 : max);
-    case OlapAggregation::Kind::kAvg:
-      return Value(count == 0 ? 0.0 : sum / static_cast<double>(count));
-  }
-  return Value::Null();
-}
-
-void AppendAccumulator(Row* row, const AggAccumulator& acc) {
-  row->push_back(Value(acc.count));
-  row->push_back(Value(acc.sum));
-  row->push_back(Value(acc.min));
-  row->push_back(Value(acc.max));
-}
-
-Result<AggAccumulator> ReadAccumulator(const Row& row, size_t offset) {
-  if (offset + 4 > row.size()) return Status::Corruption("partial row too short");
-  AggAccumulator acc;
-  acc.count = row[offset].AsInt();
-  acc.sum = row[offset + 1].AsDouble();
-  acc.min = row[offset + 2].AsDouble();
-  acc.max = row[offset + 3].AsDouble();
-  return acc;
 }
 
 // --- Segment build ---------------------------------------------------------
@@ -864,10 +761,10 @@ Result<OlapResult> Segment::ExecuteScalar(const OlapQuery& query,
       group_indices.push_back(idx);
     }
     std::vector<int> agg_indices;
-    for (const OlapAggregation& agg : query.aggregations) {
-      int idx = agg.column.empty() ? -1 : ColumnIndex(agg.column);
-      if (!agg.column.empty() && idx < 0) {
-        return Status::InvalidArgument("unknown aggregate column: " + agg.column);
+    for (const AggregateSpec& agg : query.aggregations) {
+      int idx = agg.field.empty() ? -1 : ColumnIndex(agg.field);
+      if (!agg.field.empty() && idx < 0) {
+        return Status::InvalidArgument("unknown aggregate column: " + agg.field);
       }
       agg_indices.push_back(idx);
     }
@@ -880,9 +777,11 @@ Result<OlapResult> Segment::ExecuteScalar(const OlapQuery& query,
     auto process_row = [&](uint32_t r) {
       if (validity != nullptr && !(*validity)[r]) return;
       if (!filter_scanned) ++stats->rows_scanned;
+      // Big-endian ids: the map's byte order is the vectorized engine's
+      // packed-key order, so both emit groups in the same order.
       std::string group_key;
       for (int idx : group_indices) {
-        AppendU32BE(&group_key, columns_[static_cast<size_t>(idx)].IdAt(r));
+        bytes::AppendU32BE(&group_key, columns_[static_cast<size_t>(idx)].IdAt(r));
       }
       GroupEntry& entry = groups[group_key];
       if (entry.accs.empty()) {
@@ -955,40 +854,40 @@ std::string Segment::Serialize() const {
   // included), whatever subset of columns happens to be materialized.
   if (lazy_ != nullptr) return lazy_->blob->substr(lazy_->base_offset);
   std::string out;
-  AppendString(&out, name_);
-  AppendU32(&out, static_cast<uint32_t>(schema_.NumFields()));
+  bytes::AppendString(&out, name_);
+  bytes::AppendU32(&out, static_cast<uint32_t>(schema_.NumFields()));
   for (const FieldSpec& f : schema_.fields()) {
-    AppendString(&out, f.name);
+    bytes::AppendString(&out, f.name);
     out.push_back(static_cast<char>(f.type));
   }
-  AppendU64(&out, num_rows_);
+  bytes::AppendU64(&out, num_rows_);
   // Index config (indexes themselves are rebuilt on load).
   out.push_back(config_.bit_packed_forward_index ? 1 : 0);
-  AppendU32(&out, static_cast<uint32_t>(config_.inverted_columns.size()));
-  for (const std::string& c : config_.inverted_columns) AppendString(&out, c);
-  AppendString(&out, config_.sorted_column);
-  AppendU32(&out, static_cast<uint32_t>(config_.star_tree_dimensions.size()));
-  for (const std::string& c : config_.star_tree_dimensions) AppendString(&out, c);
-  AppendU32(&out, static_cast<uint32_t>(config_.star_tree_metrics.size()));
-  for (const std::string& c : config_.star_tree_metrics) AppendString(&out, c);
+  bytes::AppendU32(&out, static_cast<uint32_t>(config_.inverted_columns.size()));
+  for (const std::string& c : config_.inverted_columns) bytes::AppendString(&out, c);
+  bytes::AppendString(&out, config_.sorted_column);
+  bytes::AppendU32(&out, static_cast<uint32_t>(config_.star_tree_dimensions.size()));
+  for (const std::string& c : config_.star_tree_dimensions) bytes::AppendString(&out, c);
+  bytes::AppendU32(&out, static_cast<uint32_t>(config_.star_tree_metrics.size()));
+  for (const std::string& c : config_.star_tree_metrics) bytes::AppendString(&out, c);
   // Columns: dictionary (as one encoded row) + forward index.
   for (const Column& column : columns_) {
     Row dict_row(column.dictionary.begin(), column.dictionary.end());
-    AppendString(&out, EncodeRow(dict_row));
+    bytes::AppendString(&out, EncodeRow(dict_row));
     if (!config_.bit_packed_forward_index) {
-      for (size_t r = 0; r < num_rows_; ++r) AppendU32(&out, column.plain[r]);
+      for (size_t r = 0; r < num_rows_; ++r) bytes::AppendU32(&out, column.plain[r]);
     } else {
-      AppendU32(&out, static_cast<uint32_t>(column.packed.bits_per_value()));
-      AppendU64(&out, column.packed.words().size());
-      for (uint64_t w : column.packed.words()) AppendU64(&out, w);
+      bytes::AppendU32(&out, static_cast<uint32_t>(column.packed.bits_per_value()));
+      bytes::AppendU64(&out, column.packed.words().size());
+      for (uint64_t w : column.packed.words()) bytes::AppendU64(&out, w);
     }
   }
   // Zone-map bloom filters, computed once at seal; min/max re-derive from
   // the sorted dictionaries on load.
   for (const ZoneMap& zone : zones_) {
-    AppendU64(&out, zone.bloom_mask);
-    AppendU64(&out, zone.bloom.size());
-    for (uint64_t w : zone.bloom) AppendU64(&out, w);
+    bytes::AppendU64(&out, zone.bloom_mask);
+    bytes::AppendU64(&out, zone.bloom.size());
+    for (uint64_t w : zone.bloom) bytes::AppendU64(&out, w);
   }
   return out;
 }
@@ -1007,37 +906,37 @@ struct SegmentHeaderInfo {
 Status ParseSegmentHeader(const std::string& blob, size_t* pos,
                           SegmentHeaderInfo* out) {
   auto corrupt = [] { return Status::Corruption("segment blob truncated"); };
-  if (!ReadString(blob, pos, &out->name)) return corrupt();
+  if (!bytes::ReadString(blob, pos, &out->name)) return corrupt();
   uint32_t num_fields;
-  if (!ReadU32(blob, pos, &num_fields)) return corrupt();
+  if (!bytes::ReadU32(blob, pos, &num_fields)) return corrupt();
   for (uint32_t i = 0; i < num_fields; ++i) {
     FieldSpec f;
-    if (!ReadString(blob, pos, &f.name)) return corrupt();
+    if (!bytes::ReadString(blob, pos, &f.name)) return corrupt();
     if (*pos >= blob.size()) return corrupt();
     f.type = static_cast<ValueType>(blob[(*pos)++]);
     out->fields.push_back(std::move(f));
   }
-  if (!ReadU64(blob, pos, &out->num_rows)) return corrupt();
+  if (!bytes::ReadU64(blob, pos, &out->num_rows)) return corrupt();
   if (*pos >= blob.size()) return corrupt();
   out->config.bit_packed_forward_index = blob[(*pos)++] != 0;
   uint32_t n;
-  if (!ReadU32(blob, pos, &n)) return corrupt();
+  if (!bytes::ReadU32(blob, pos, &n)) return corrupt();
   for (uint32_t i = 0; i < n; ++i) {
     std::string c;
-    if (!ReadString(blob, pos, &c)) return corrupt();
+    if (!bytes::ReadString(blob, pos, &c)) return corrupt();
     out->config.inverted_columns.push_back(std::move(c));
   }
-  if (!ReadString(blob, pos, &out->config.sorted_column)) return corrupt();
-  if (!ReadU32(blob, pos, &n)) return corrupt();
+  if (!bytes::ReadString(blob, pos, &out->config.sorted_column)) return corrupt();
+  if (!bytes::ReadU32(blob, pos, &n)) return corrupt();
   for (uint32_t i = 0; i < n; ++i) {
     std::string c;
-    if (!ReadString(blob, pos, &c)) return corrupt();
+    if (!bytes::ReadString(blob, pos, &c)) return corrupt();
     out->config.star_tree_dimensions.push_back(std::move(c));
   }
-  if (!ReadU32(blob, pos, &n)) return corrupt();
+  if (!bytes::ReadU32(blob, pos, &n)) return corrupt();
   for (uint32_t i = 0; i < n; ++i) {
     std::string c;
-    if (!ReadString(blob, pos, &c)) return corrupt();
+    if (!bytes::ReadString(blob, pos, &c)) return corrupt();
     out->config.star_tree_metrics.push_back(std::move(c));
   }
   return Status::Ok();
@@ -1071,7 +970,7 @@ Result<std::shared_ptr<Segment>> Segment::OpenBlob(const std::string& data,
     LazyColumn& lc = (*layout)[c];
     lc.dict_pos = pos;
     uint32_t dict_len;
-    if (!ReadU32(data, &pos, &dict_len)) return corrupt();
+    if (!bytes::ReadU32(data, &pos, &dict_len)) return corrupt();
     if (dict_len > data.size() - pos) return corrupt();
     pos += dict_len;
     if (!header.config.bit_packed_forward_index) {
@@ -1079,8 +978,8 @@ Result<std::shared_ptr<Segment>> Segment::OpenBlob(const std::string& data,
       if (header.num_rows > (data.size() - pos) / 4) return corrupt();
       pos += static_cast<size_t>(header.num_rows) * 4;
     } else {
-      if (!ReadU32(data, &pos, &lc.bits)) return corrupt();
-      if (!ReadU64(data, &pos, &lc.num_words)) return corrupt();
+      if (!bytes::ReadU32(data, &pos, &lc.bits)) return corrupt();
+      if (!bytes::ReadU64(data, &pos, &lc.num_words)) return corrupt();
       lc.words_pos = pos;
       if (lc.num_words > (data.size() - pos) / 8) return corrupt();
       pos += static_cast<size_t>(lc.num_words) * 8;
@@ -1096,7 +995,7 @@ Status Segment::DecodeColumn(const std::string& data, const LazyColumn& layout,
   auto bad_id = [] { return Status::Corruption("segment blob: dict id out of range"); };
   size_t pos = layout.dict_pos;
   std::string dict_blob;
-  if (!ReadString(data, &pos, &dict_blob)) return corrupt();
+  if (!bytes::ReadString(data, &pos, &dict_blob)) return corrupt();
   Result<Row> dict = DecodeRow(dict_blob);
   if (!dict.ok()) return dict.status();
   column->dictionary = std::move(dict.value());
@@ -1105,14 +1004,14 @@ Status Segment::DecodeColumn(const std::string& data, const LazyColumn& layout,
     pos = layout.plain_pos;
     column->plain.resize(num_rows_);
     for (size_t r = 0; r < num_rows_; ++r) {
-      if (!ReadU32(data, &pos, &column->plain[r])) return corrupt();
+      if (!bytes::ReadU32(data, &pos, &column->plain[r])) return corrupt();
       if (column->plain[r] >= dict_size) return bad_id();
     }
   } else {
     pos = layout.words_pos;
     std::vector<uint64_t> words(static_cast<size_t>(layout.num_words));
     for (uint64_t& w : words) {
-      if (!ReadU64(data, &pos, &w)) return corrupt();
+      if (!bytes::ReadU64(data, &pos, &w)) return corrupt();
     }
     // Adopt the serialized words directly (no unpack/repack round trip),
     // then batch-decode once to validate every id against the dictionary
@@ -1155,8 +1054,8 @@ Result<std::shared_ptr<Segment>> Segment::Deserialize(const std::string& blob) {
   for (size_t c = 0; c < num_fields; ++c) {
     ZoneMap& zone = segment->zones_[c];
     uint64_t mask, num_words;
-    if (!ReadU64(blob, &pos, &mask)) return corrupt();
-    if (!ReadU64(blob, &pos, &num_words)) return corrupt();
+    if (!bytes::ReadU64(blob, &pos, &mask)) return corrupt();
+    if (!bytes::ReadU64(blob, &pos, &num_words)) return corrupt();
     if (num_words > (blob.size() - pos) / 8) return corrupt();
     const uint64_t bits = num_words * 64;
     if ((num_words == 0 && mask != 0) ||
@@ -1166,7 +1065,7 @@ Result<std::shared_ptr<Segment>> Segment::Deserialize(const std::string& blob) {
     zone.bloom_mask = mask;
     zone.bloom.resize(num_words);
     for (uint64_t w = 0; w < num_words; ++w) {
-      if (!ReadU64(blob, &pos, &zone.bloom[w])) return corrupt();
+      if (!bytes::ReadU64(blob, &pos, &zone.bloom[w])) return corrupt();
     }
   }
   segment->BuildZoneMaps(/*keep_blooms=*/true);
@@ -1217,7 +1116,7 @@ Status Segment::EnsureForQuery(const OlapQuery& query,
   };
   for (const FilterPredicate& pred : query.filters) add(pred.column);
   for (const std::string& g : query.group_by) add(g);
-  for (const OlapAggregation& agg : query.aggregations) add(agg.column);
+  for (const AggregateSpec& agg : query.aggregations) add(agg.field);
   for (const std::string& s : query.select_columns) add(s);
   return EnsureColumnIndexes(indexes, stats);
 }

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "olap/bitmap.h"
 #include "olap/segment.h"
 
@@ -21,19 +22,6 @@ namespace {
 /// Rows decoded per batch. Large enough to amortize per-batch setup, small
 /// enough that the id/row buffers stay cache-resident.
 constexpr size_t kBatchRows = 1024;
-
-void AppendIdBE(std::string* out, uint32_t v) {
-  char buf[4] = {static_cast<char>(v >> 24), static_cast<char>(v >> 16),
-                 static_cast<char>(v >> 8), static_cast<char>(v)};
-  out->append(buf, 4);
-}
-
-uint32_t ReadIdBE(const char* p) {
-  return (static_cast<uint32_t>(static_cast<unsigned char>(p[0])) << 24) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 16) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 8) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3]));
-}
 
 /// Open-addressing hash map from packed group key to dense group index
 /// (linear probing, power-of-two capacity, <75% load). Groups get dense
@@ -121,7 +109,7 @@ class GroupTable {
       gi = index_.FindOrInsert(key, &inserted);
     } else {
       wide_key_.clear();
-      for (size_t g = 0; g < widths_.size(); ++g) AppendIdBE(&wide_key_, id_at(g));
+      for (size_t g = 0; g < widths_.size(); ++g) bytes::AppendU32BE(&wide_key_, id_at(g));
       auto [it, fresh] = wide_.try_emplace(wide_key_, wide_.size());
       gi = it->second;
       inserted = fresh;
@@ -146,7 +134,7 @@ class GroupTable {
     };
     if (!packed_) {
       for (const auto& [key, gi] : wide_) {
-        for (size_t g = 0; g < num_groups; ++g) ids[g] = ReadIdBE(key.data() + g * 4);
+        for (size_t g = 0; g < num_groups; ++g) ids[g] = bytes::ReadU32BE(key.data() + g * 4);
         emit(gi);
       }
       return;
@@ -214,9 +202,9 @@ bool Segment::TryStarTree(const OlapQuery& query, const std::vector<bool>* valid
   // 0 is COUNT, slot 1 + m is metric m.
   std::vector<size_t> agg_slot(query.aggregations.size(), 0);
   for (size_t a = 0; a < query.aggregations.size(); ++a) {
-    const OlapAggregation& agg = query.aggregations[a];
-    if (agg.kind == OlapAggregation::Kind::kCount) continue;
-    int idx = ColumnIndex(agg.column);
+    const AggregateSpec& agg = query.aggregations[a];
+    if (agg.kind == AggregateSpec::Kind::kCount) continue;
+    int idx = ColumnIndex(agg.field);
     auto it = std::find(star_metrics_.begin(), star_metrics_.end(), idx);
     if (it == star_metrics_.end()) return false;
     agg_slot[a] = 1 + static_cast<size_t>(it - star_metrics_.begin());
@@ -398,10 +386,10 @@ Result<OlapResult> Segment::ExecuteVectorized(const OlapQuery& query,
       group_indices.push_back(idx);
     }
     std::vector<int> agg_indices;
-    for (const OlapAggregation& agg : query.aggregations) {
-      int idx = agg.column.empty() ? -1 : ColumnIndex(agg.column);
-      if (!agg.column.empty() && idx < 0) {
-        return Status::InvalidArgument("unknown aggregate column: " + agg.column);
+    for (const AggregateSpec& agg : query.aggregations) {
+      int idx = agg.field.empty() ? -1 : ColumnIndex(agg.field);
+      if (!agg.field.empty() && idx < 0) {
+        return Status::InvalidArgument("unknown aggregate column: " + agg.field);
       }
       agg_indices.push_back(idx);
     }
@@ -441,12 +429,8 @@ Result<OlapResult> Segment::ExecuteVectorized(const OlapQuery& query,
         for (size_t a = 0; a < num_aggs; ++a) {
           AggAccumulator& acc = accs[a];
           if (agg_indices[a] < 0) {
-            // COUNT: bump by the batch popcount, no column decode at all.
-            if (acc.count == 0) {
-              acc.min = 0.0;
-              acc.max = 0.0;
-            }
-            acc.count += static_cast<int64_t>(n);
+            // COUNT: merge the batch popcount, no column decode at all.
+            acc.Merge({static_cast<int64_t>(n), 0.0, 0.0, 0.0});
             continue;
           }
           const double* lut =

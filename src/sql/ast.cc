@@ -1,17 +1,10 @@
 #include "sql/ast.h"
 
-#include <algorithm>
 #include <sstream>
 
 namespace uberrt::sql {
 
 namespace {
-
-std::string ToUpper(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
-  return s;
-}
 
 const char* OpSymbol(Expr::Op op) {
   switch (op) {
@@ -36,10 +29,21 @@ const char* OpSymbol(Expr::Op op) {
 
 }  // namespace
 
-bool IsAggregateFunction(const std::string& name) {
-  std::string upper = ToUpper(name);
-  return upper == "COUNT" || upper == "SUM" || upper == "MIN" || upper == "MAX" ||
-         upper == "AVG";
+Result<AggregateSpec> CompileAggregate(const Expr& call, const std::string& output) {
+  std::optional<AggregateSpec::Kind> kind;
+  if (call.kind == Expr::Kind::kCall) kind = ParseAggregateKind(call.name);
+  if (!kind.has_value()) {
+    return Status::InvalidArgument("unsupported aggregate: " + call.ToString());
+  }
+  AggregateSpec spec;
+  spec.kind = *kind;
+  spec.output_name = output;
+  if (spec.kind == AggregateSpec::Kind::kCount) return spec;
+  if (call.children.size() != 1 || call.children[0]->kind != Expr::Kind::kColumn) {
+    return Status::InvalidArgument(call.name + " expects a single column argument");
+  }
+  spec.field = call.children[0]->name;
+  return spec;
 }
 
 std::unique_ptr<Expr> Expr::Clone() const {
@@ -91,7 +95,7 @@ std::string Expr::ToString() const {
 }
 
 bool Expr::ContainsAggregate() const {
-  if (kind == Kind::kCall && IsAggregateFunction(name)) return true;
+  if (kind == Kind::kCall && ParseAggregateKind(name).has_value()) return true;
   for (const auto& child : children) {
     if (child->ContainsAggregate()) return true;
   }

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "common/aggregate.h"
+#include "common/status.h"
 #include "common/value.h"
 
 namespace uberrt::sql {
@@ -89,8 +91,11 @@ struct Expr {
   bool ContainsAggregate() const;
 };
 
-/// True when `name` (upper-cased) is an aggregate function.
-bool IsAggregateFunction(const std::string& name);
+/// The one SQL aggregate compiler, shared by FlinkSQL's window aggregation
+/// and Presto's OLAP pushdown: `call` must be an aggregate call; COUNT
+/// takes any argument (it counts rows), the others one column.
+/// InvalidArgument otherwise.
+Result<AggregateSpec> CompileAggregate(const Expr& call, const std::string& output);
 
 struct SelectItem {
   std::unique_ptr<Expr> expr;

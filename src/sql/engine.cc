@@ -9,7 +9,6 @@ namespace uberrt::sql {
 namespace {
 
 using olap::FilterPredicate;
-using olap::OlapAggregation;
 using olap::OlapQuery;
 
 std::string ShortName(const std::string& table_name) {
@@ -22,62 +21,6 @@ std::string RefAlias(const TableRef& ref) {
   if (ref.kind == TableRef::Kind::kNamed) return ShortName(ref.name);
   return "";
 }
-
-Result<OlapAggregation> ToOlapAggregation(const Expr& call, const std::string& output) {
-  OlapAggregation agg;
-  agg.output_name = output;
-  std::string fn = call.name;
-  for (char& c : fn) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  if (fn == "COUNT") {
-    agg.kind = OlapAggregation::Kind::kCount;
-    return agg;
-  }
-  if (call.children.size() != 1 || call.children[0]->kind != Expr::Kind::kColumn) {
-    return Status::InvalidArgument(fn + " needs a single column argument");
-  }
-  agg.column = call.children[0]->name;
-  if (fn == "SUM") {
-    agg.kind = OlapAggregation::Kind::kSum;
-  } else if (fn == "MIN") {
-    agg.kind = OlapAggregation::Kind::kMin;
-  } else if (fn == "MAX") {
-    agg.kind = OlapAggregation::Kind::kMax;
-  } else if (fn == "AVG") {
-    agg.kind = OlapAggregation::Kind::kAvg;
-  } else {
-    return Status::InvalidArgument("unsupported aggregate: " + fn);
-  }
-  return agg;
-}
-
-/// Engine-side aggregate accumulator (fn resolved by name at finalize).
-struct EngineAccumulator {
-  int64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-
-  void Add(double v) {
-    if (count == 0) {
-      min = v;
-      max = v;
-    } else {
-      if (v < min) min = v;
-      if (v > max) max = v;
-    }
-    ++count;
-    sum += v;
-  }
-
-  Value Finalize(const std::string& fn) const {
-    if (fn == "COUNT") return Value(count);
-    if (fn == "SUM") return Value(sum);
-    if (fn == "MIN") return Value(count == 0 ? 0.0 : min);
-    if (fn == "MAX") return Value(count == 0 ? 0.0 : max);
-    if (fn == "AVG") return Value(count == 0 ? 0.0 : sum / static_cast<double>(count));
-    return Value::Null();
-  }
-};
 
 ValueType TypeOf(const Value& v) {
   return v.type() == ValueType::kNull ? ValueType::kString : v.type();
@@ -380,10 +323,8 @@ Result<QueryResult> PrestoEngine::ExecuteStmt(const SelectStmt& stmt) const {
         }
         if (eligible) {
           for (const SelectItem& item : stmt.items) {
-            if (item.expr->kind == Expr::Kind::kCall &&
-                IsAggregateFunction(item.expr->name)) {
-              Result<OlapAggregation> agg =
-                  ToOlapAggregation(*item.expr, SelectItemName(item));
+            if (item.expr->kind == Expr::Kind::kCall) {
+              Result<AggregateSpec> agg = CompileAggregate(*item.expr, SelectItemName(item));
               if (!agg.ok()) {
                 eligible = false;
                 break;
@@ -518,19 +459,21 @@ Result<QueryResult> PrestoEngine::ExecuteStmt(const SelectStmt& stmt) const {
     // Hash aggregation. Select items: aggregate calls or group expressions.
     struct GroupEntry {
       std::vector<Value> group_values;  ///< one per group_by expr
-      std::vector<EngineAccumulator> accs;
+      std::vector<AggAccumulator> accs;
     };
     struct AggItem {
-      bool is_aggregate = false;
-      const Expr* call = nullptr;  ///< aggregate call
+      const Expr* call = nullptr;  ///< aggregate call, of kind spec.kind
+      AggregateSpec spec;
       int group_index = -1;        ///< else index into group_by
     };
     std::vector<AggItem> plan;
     for (const SelectItem& item : stmt.items) {
       AggItem ai;
-      if (item.expr->kind == Expr::Kind::kCall && IsAggregateFunction(item.expr->name)) {
-        ai.is_aggregate = true;
+      std::optional<AggregateSpec::Kind> kind;
+      if (item.expr->kind == Expr::Kind::kCall) kind = ParseAggregateKind(item.expr->name);
+      if (kind.has_value()) {
         ai.call = item.expr.get();
+        ai.spec.kind = *kind;
       } else {
         std::string repr = item.expr->ToString();
         for (size_t g = 0; g < stmt.group_by.size(); ++g) {
@@ -538,6 +481,11 @@ Result<QueryResult> PrestoEngine::ExecuteStmt(const SelectStmt& stmt) const {
             ai.group_index = static_cast<int>(g);
             break;
           }
+        }
+        // An ungrouped call is rejected as an aggregate, the way FlinkSQL
+        // rejects it.
+        if (ai.group_index < 0 && item.expr->kind == Expr::Kind::kCall) {
+          return CompileAggregate(*item.expr, SelectItemName(item)).status();
         }
         if (ai.group_index < 0) {
           return Status::InvalidArgument("select item '" + repr +
@@ -564,7 +512,7 @@ Result<QueryResult> PrestoEngine::ExecuteStmt(const SelectStmt& stmt) const {
         entry.accs.resize(plan.size());
       }
       for (size_t i = 0; i < plan.size(); ++i) {
-        if (!plan[i].is_aggregate) continue;
+        if (plan[i].call == nullptr) continue;
         double v = 0.0;
         if (!plan[i].call->children.empty() &&
             plan[i].call->children[0]->kind != Expr::Kind::kStar) {
@@ -583,21 +531,19 @@ Result<QueryResult> PrestoEngine::ExecuteStmt(const SelectStmt& stmt) const {
     for (auto& [key, entry] : groups) {
       Row row;
       for (size_t i = 0; i < plan.size(); ++i) {
-        if (plan[i].is_aggregate) {
-          std::string fn = plan[i].call->name;
-          for (char& c : fn) {
-            c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-          }
-          row.push_back(entry.accs[i].Finalize(fn));
+        if (plan[i].call != nullptr) {
+          row.push_back(entry.accs[i].Finish(plan[i].spec.kind));
         } else {
           row.push_back(entry.group_values[static_cast<size_t>(plan[i].group_index)]);
         }
       }
       output.push_back(std::move(row));
     }
+    // Aggregates are typed by their kind, as the pushdown path types them,
+    // so an empty grouped result has the same schema on both paths.
     for (size_t i = 0; i < stmt.items.size(); ++i) {
-      ValueType type =
-          output.empty() ? ValueType::kDouble : TypeOf(output[0][i]);
+      ValueType type = output.empty() ? ValueType::kDouble : TypeOf(output[0][i]);
+      if (plan[i].call != nullptr) type = plan[i].spec.ResultType();
       output_fields.push_back({SelectItemName(stmt.items[i]), type});
     }
   } else {

@@ -142,7 +142,7 @@ Result<Value> EvalExpr(const Expr& expr, const Row& row, const RowBinding& bindi
       return Status::InvalidArgument("bad binary operator");
     }
     case Expr::Kind::kCall: {
-      if (IsAggregateFunction(expr.name)) {
+      if (ParseAggregateKind(expr.name).has_value()) {
         return Status::InvalidArgument("aggregate '" + expr.name +
                                        "' in scalar context");
       }

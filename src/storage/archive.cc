@@ -1,41 +1,22 @@
 #include "storage/archive.h"
 
-#include <cstring>
+#include "common/bytes.h"
 
 namespace uberrt::storage {
 
-namespace {
-
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-bool ReadU32(const std::string& data, size_t* pos, uint32_t* out) {
-  if (*pos + 4 > data.size()) return false;
-  std::memcpy(out, data.data() + *pos, 4);
-  *pos += 4;
-  return true;
-}
-
-}  // namespace
-
 std::string EncodeRowBatch(const std::vector<Row>& rows) {
   std::string out;
-  AppendU32(&out, static_cast<uint32_t>(rows.size()));
-  for (const Row& row : rows) {
-    std::string encoded = EncodeRow(row);
-    AppendU32(&out, static_cast<uint32_t>(encoded.size()));
-    out.append(encoded);
-  }
+  bytes::AppendU32(&out, static_cast<uint32_t>(rows.size()));
+  for (const Row& row : rows) bytes::AppendString(&out, EncodeRow(row));
   return out;
 }
 
 Result<std::vector<Row>> DecodeRowBatch(const std::string& data) {
   size_t pos = 0;
   uint32_t count = 0;
-  if (!ReadU32(data, &pos, &count)) return Status::Corruption("batch header truncated");
+  if (!bytes::ReadU32(data, &pos, &count)) {
+    return Status::Corruption("batch header truncated");
+  }
   // Each row carries at least a 4-byte length prefix; a count beyond the
   // remaining bytes is corruption (and must not drive a huge reserve()).
   if (count > (data.size() - pos) / 4) {
@@ -44,13 +25,11 @@ Result<std::vector<Row>> DecodeRowBatch(const std::string& data) {
   std::vector<Row> rows;
   rows.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    uint32_t len = 0;
-    if (!ReadU32(data, &pos, &len)) return Status::Corruption("row length truncated");
-    if (pos + len > data.size()) return Status::Corruption("row body truncated");
-    Result<Row> row = DecodeRow(data.substr(pos, len));
+    std::string_view encoded;
+    if (!bytes::ReadString(data, &pos, &encoded)) return Status::Corruption("row truncated");
+    Result<Row> row = DecodeRow(encoded);
     if (!row.ok()) return row.status();
     rows.push_back(std::move(row.value()));
-    pos += len;
   }
   return rows;
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/bytes.h"
+
 namespace uberrt::stream {
 
 int64_t PartitionLog::AppendBatchLocked(const wire::EncodedBatch& batch) {
@@ -45,7 +47,7 @@ Status CheckBatch(const wire::EncodedBatch& batch) {
     return Status::InvalidArgument("empty batch");
   }
   UBERRT_RETURN_IF_ERROR(wire::ValidateBatch(batch.data));
-  if (wire::ReadU32(batch.data.data() + 4) != batch.record_count) {
+  if (bytes::ReadU32BE(batch.data.data() + 4) != batch.record_count) {
     return Status::InvalidArgument("batch record_count does not match header");
   }
   return Status::Ok();
@@ -113,7 +115,7 @@ Result<FetchedBatch> PartitionLog::ReadViews(int64_t offset,
     // start at a batch boundary, so this loop rarely iterates.
     size_t pos = b.begin + wire::kBatchHeaderSize;
     for (int64_t skip = cur - b.base_offset; skip > 0; --skip) {
-      pos += 4 + wire::ReadU32(arena.data() + pos);
+      pos += 4 + bytes::ReadU32BE(arena.data() + pos);
     }
     // Frames were validated structurally at append time; decode untrusted
     // checks would be pure overhead on the fetch hot path.

@@ -34,11 +34,6 @@ struct Message {
     for (const auto& [k, v] : headers) n += 8 + k.size() + v.size();
     return n;
   }
-
-  /// Deprecated alias for FrameSize(). The old formula added a flat 24
-  /// bytes with no per-header-entry overhead, so size-based retention and
-  /// throughput accounting drifted from the stored bytes.
-  size_t ByteSize() const { return FrameSize(); }
 };
 
 /// Standard header keys for audit metadata (Section 9.4).

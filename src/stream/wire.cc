@@ -3,6 +3,8 @@
 #include <array>
 #include <cstring>
 
+#include "common/bytes.h"
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <nmmintrin.h>
 #define UBERRT_CRC32C_HW 1
@@ -96,29 +98,29 @@ void AppendFrame(std::string& buf, const Message& m) {
   // cache miss per node, and this runs once per produced message).
   size_t start = buf.size();
   buf.append(4, '\0');  // frame_len, patched below
-  AppendU64(buf, static_cast<uint64_t>(m.timestamp));
-  AppendU32(buf, static_cast<uint32_t>(m.key.size()));
+  bytes::AppendU64BE(&buf, static_cast<uint64_t>(m.timestamp));
+  bytes::AppendU32BE(&buf, static_cast<uint32_t>(m.key.size()));
   buf.append(m.key);
-  AppendU32(buf, static_cast<uint32_t>(m.value.size()));
+  bytes::AppendU32BE(&buf, static_cast<uint32_t>(m.value.size()));
   buf.append(m.value);
-  AppendU32(buf, static_cast<uint32_t>(m.headers.size()));
+  bytes::AppendU32BE(&buf, static_cast<uint32_t>(m.headers.size()));
   for (const auto& [k, v] : m.headers) {
-    AppendU32(buf, static_cast<uint32_t>(k.size()));
+    bytes::AppendU32BE(&buf, static_cast<uint32_t>(k.size()));
     buf.append(k);
-    AppendU32(buf, static_cast<uint32_t>(v.size()));
+    bytes::AppendU32BE(&buf, static_cast<uint32_t>(v.size()));
     buf.append(v);
   }
-  WriteU32(&buf[start], static_cast<uint32_t>(buf.size() - start - 4));
+  bytes::PutU32BE(&buf[start], static_cast<uint32_t>(buf.size() - start - 4));
 }
 
 bool MessageView::GetHeader(std::string_view name, std::string_view* out) const {
   size_t pos = 0;
   for (uint32_t i = 0; i < header_count; ++i) {
-    uint32_t klen = ReadU32(headers_raw.data() + pos);
+    uint32_t klen = bytes::ReadU32BE(headers_raw.data() + pos);
     pos += 4;
     std::string_view k = headers_raw.substr(pos, klen);
     pos += klen;
-    uint32_t vlen = ReadU32(headers_raw.data() + pos);
+    uint32_t vlen = bytes::ReadU32BE(headers_raw.data() + pos);
     pos += 4;
     if (k == name) {
       *out = headers_raw.substr(pos, vlen);
@@ -138,11 +140,11 @@ Message MessageView::ToMessage() const {
   m.partition = partition;
   size_t pos = 0;
   for (uint32_t i = 0; i < header_count; ++i) {
-    uint32_t klen = ReadU32(headers_raw.data() + pos);
+    uint32_t klen = bytes::ReadU32BE(headers_raw.data() + pos);
     pos += 4;
     std::string k(headers_raw.substr(pos, klen));
     pos += klen;
-    uint32_t vlen = ReadU32(headers_raw.data() + pos);
+    uint32_t vlen = bytes::ReadU32BE(headers_raw.data() + pos);
     pos += 4;
     m.headers.emplace(std::move(k), std::string(headers_raw.substr(pos, vlen)));
     pos += vlen;
@@ -154,34 +156,34 @@ Result<MessageView> DecodeFrame(std::string_view data, size_t* pos) {
   size_t p = *pos;
   auto truncated = [] { return Status::Corruption("truncated record frame"); };
   if (p + 4 > data.size()) return truncated();
-  uint32_t frame_len = ReadU32(data.data() + p);
+  uint32_t frame_len = bytes::ReadU32BE(data.data() + p);
   p += 4;
   if (frame_len < kMinFrameLen || p + frame_len > data.size()) return truncated();
   size_t frame_end = p + frame_len;
 
   MessageView view;
   view.raw_frame = data.substr(*pos, 4 + frame_len);
-  view.timestamp = static_cast<TimestampMs>(ReadU64(data.data() + p));
+  view.timestamp = static_cast<TimestampMs>(bytes::ReadU64BE(data.data() + p));
   p += 8;
-  uint32_t key_len = ReadU32(data.data() + p);
+  uint32_t key_len = bytes::ReadU32BE(data.data() + p);
   p += 4;
   if (p + key_len + 4 > frame_end) return truncated();
   view.key = data.substr(p, key_len);
   p += key_len;
-  uint32_t value_len = ReadU32(data.data() + p);
+  uint32_t value_len = bytes::ReadU32BE(data.data() + p);
   p += 4;
   if (p + value_len + 4 > frame_end) return truncated();
   view.value = data.substr(p, value_len);
   p += value_len;
-  view.header_count = ReadU32(data.data() + p);
+  view.header_count = bytes::ReadU32BE(data.data() + p);
   p += 4;
   size_t headers_begin = p;
   for (uint32_t i = 0; i < view.header_count; ++i) {
     if (p + 4 > frame_end) return truncated();
-    uint32_t klen = ReadU32(data.data() + p);
+    uint32_t klen = bytes::ReadU32BE(data.data() + p);
     p += 4 + klen;
     if (p + 4 > frame_end) return truncated();
-    uint32_t vlen = ReadU32(data.data() + p);
+    uint32_t vlen = bytes::ReadU32BE(data.data() + p);
     p += 4 + vlen;
     if (p > frame_end) return truncated();
   }
@@ -195,22 +197,22 @@ Result<MessageView> DecodeFrame(std::string_view data, size_t* pos) {
 
 MessageView DecodeFrameTrusted(std::string_view data, size_t* pos) {
   size_t p = *pos;
-  uint32_t frame_len = ReadU32(data.data() + p);
+  uint32_t frame_len = bytes::ReadU32BE(data.data() + p);
   p += 4;
   size_t frame_end = p + frame_len;
   MessageView view;
   view.raw_frame = data.substr(*pos, 4 + frame_len);
-  view.timestamp = static_cast<TimestampMs>(ReadU64(data.data() + p));
+  view.timestamp = static_cast<TimestampMs>(bytes::ReadU64BE(data.data() + p));
   p += 8;
-  uint32_t key_len = ReadU32(data.data() + p);
+  uint32_t key_len = bytes::ReadU32BE(data.data() + p);
   p += 4;
   view.key = data.substr(p, key_len);
   p += key_len;
-  uint32_t value_len = ReadU32(data.data() + p);
+  uint32_t value_len = bytes::ReadU32BE(data.data() + p);
   p += 4;
   view.value = data.substr(p, value_len);
   p += value_len;
-  view.header_count = ReadU32(data.data() + p);
+  view.header_count = bytes::ReadU32BE(data.data() + p);
   p += 4;
   // Validation already proved the header region spans exactly to frame_end,
   // so there is no need to walk the entries here.
@@ -242,12 +244,12 @@ EncodedBatch BatchBuilder::Finish() {
   batch.record_count = count_;
   batch.max_timestamp = max_timestamp_;
   char* h = payload_.data();
-  WriteU32(h, kBatchMagic);
-  WriteU32(h + 4, count_);
-  WriteU32(h + 8, static_cast<uint32_t>(payload_.size() - kBatchHeaderSize));
-  WriteU32(h + 12,
-           Crc32(payload_.data() + kBatchHeaderSize, payload_.size() - kBatchHeaderSize));
-  WriteU64(h + 16, static_cast<uint64_t>(max_timestamp_));
+  bytes::PutU32BE(h, kBatchMagic);
+  bytes::PutU32BE(h + 4, count_);
+  bytes::PutU32BE(h + 8, static_cast<uint32_t>(payload_.size() - kBatchHeaderSize));
+  bytes::PutU32BE(h + 12,
+                  Crc32(payload_.data() + kBatchHeaderSize, payload_.size() - kBatchHeaderSize));
+  bytes::PutU64BE(h + 16, static_cast<uint64_t>(max_timestamp_));
   batch.data = std::move(payload_);  // seal without copying the payload
   Reset();
   return batch;
@@ -257,12 +259,12 @@ Status ValidateBatch(std::string_view batch) {
   if (batch.size() < kBatchHeaderSize) {
     return Status::Corruption("batch shorter than header");
   }
-  if (ReadU32(batch.data()) != kBatchMagic) {
+  if (bytes::ReadU32BE(batch.data()) != kBatchMagic) {
     return Status::Corruption("bad batch magic");
   }
-  uint32_t record_count = ReadU32(batch.data() + 4);
-  uint32_t payload_len = ReadU32(batch.data() + 8);
-  uint32_t crc = ReadU32(batch.data() + 12);
+  uint32_t record_count = bytes::ReadU32BE(batch.data() + 4);
+  uint32_t payload_len = bytes::ReadU32BE(batch.data() + 8);
+  uint32_t crc = bytes::ReadU32BE(batch.data() + 12);
   if (batch.size() != kBatchHeaderSize + payload_len) {
     return Status::Corruption("batch payload length mismatch");
   }
@@ -280,26 +282,26 @@ Status ValidateBatch(std::string_view batch) {
   auto truncated = [] { return Status::Corruption("truncated record frame"); };
   for (uint32_t i = 0; i < record_count; ++i) {
     if (pos + 4 > size) return truncated();
-    uint32_t frame_len = ReadU32(base + pos);
+    uint32_t frame_len = bytes::ReadU32BE(base + pos);
     pos += 4;
     if (frame_len < kMinFrameLen || pos + frame_len > size) return truncated();
     size_t frame_end = pos + frame_len;
     size_t p = pos + 8;  // timestamp needs no validation
-    uint32_t key_len = ReadU32(base + p);
+    uint32_t key_len = bytes::ReadU32BE(base + p);
     p += 4;
     if (p + key_len + 4 > frame_end) return truncated();
     p += key_len;
-    uint32_t value_len = ReadU32(base + p);
+    uint32_t value_len = bytes::ReadU32BE(base + p);
     p += 4;
     if (p + value_len + 4 > frame_end) return truncated();
     p += value_len;
-    uint32_t header_count = ReadU32(base + p);
+    uint32_t header_count = bytes::ReadU32BE(base + p);
     p += 4;
     for (uint32_t h = 0; h < header_count; ++h) {
       if (p + 4 > frame_end) return truncated();
-      p += 4 + ReadU32(base + p);
+      p += 4 + bytes::ReadU32BE(base + p);
       if (p + 4 > frame_end) return truncated();
-      p += 4 + ReadU32(base + p);
+      p += 4 + bytes::ReadU32BE(base + p);
       if (p > frame_end) return truncated();
     }
     if (p != frame_end) {
@@ -315,8 +317,8 @@ Status ValidateBatch(std::string_view batch) {
 
 Result<BatchReader> BatchReader::Open(std::string_view batch) {
   UBERRT_RETURN_IF_ERROR(ValidateBatch(batch));
-  return BatchReader(batch.substr(kBatchHeaderSize), ReadU32(batch.data() + 4),
-                     static_cast<int64_t>(ReadU64(batch.data() + 16)));
+  return BatchReader(batch.substr(kBatchHeaderSize), bytes::ReadU32BE(batch.data() + 4),
+                     static_cast<int64_t>(bytes::ReadU64BE(batch.data() + 16)));
 }
 
 Result<MessageView> BatchReader::Next() {

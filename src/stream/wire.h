@@ -2,7 +2,6 @@
 #define UBERRT_STREAM_WIRE_H_
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -13,7 +12,8 @@
 namespace uberrt::stream::wire {
 
 /// Compact binary frame format for the partition log (DESIGN.md "Binary log
-/// format"). All integers are network byte order (big-endian).
+/// format"). All integers are network byte order (big-endian, the
+/// common/bytes.h *BE helpers).
 ///
 /// Record frame — one message:
 ///
@@ -41,47 +41,6 @@ inline constexpr uint32_t kBatchMagic = 0x55425254;  // "UBRT"
 inline constexpr size_t kBatchHeaderSize = 4 + 4 + 4 + 4 + 8;
 /// frame_len of an empty message: timestamp + key_len + value_len + header_count.
 inline constexpr size_t kMinFrameLen = 8 + 4 + 4 + 4;
-
-// --- primitive append/read helpers (network byte order) ---------------------
-
-inline void AppendU8(std::string& buf, uint8_t v) {
-  buf.push_back(static_cast<char>(v));
-}
-
-/// Patches a u32 into an already-sized buffer (reserved header slots).
-inline void WriteU32(char* p, uint32_t v) {
-  p[0] = static_cast<char>((v >> 24) & 0xFF);
-  p[1] = static_cast<char>((v >> 16) & 0xFF);
-  p[2] = static_cast<char>((v >> 8) & 0xFF);
-  p[3] = static_cast<char>(v & 0xFF);
-}
-
-inline void WriteU64(char* p, uint64_t v) {
-  WriteU32(p, static_cast<uint32_t>(v >> 32));
-  WriteU32(p + 4, static_cast<uint32_t>(v & 0xFFFFFFFFULL));
-}
-
-inline void AppendU32(std::string& buf, uint32_t v) {
-  char b[4];
-  WriteU32(b, v);
-  buf.append(b, 4);
-}
-
-inline void AppendU64(std::string& buf, uint64_t v) {
-  char b[8];
-  WriteU64(b, v);
-  buf.append(b, 8);
-}
-
-inline uint32_t ReadU32(const char* p) {
-  const auto* u = reinterpret_cast<const unsigned char*>(p);
-  return (static_cast<uint32_t>(u[0]) << 24) | (static_cast<uint32_t>(u[1]) << 16) |
-         (static_cast<uint32_t>(u[2]) << 8) | static_cast<uint32_t>(u[3]);
-}
-
-inline uint64_t ReadU64(const char* p) {
-  return (static_cast<uint64_t>(ReadU32(p)) << 32) | ReadU32(p + 4);
-}
 
 /// CRC-32C (Castagnoli polynomial, reflected) — the checksum Kafka uses for
 /// record batches. Hardware-accelerated (SSE4.2) when the CPU supports it,

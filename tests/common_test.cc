@@ -48,6 +48,57 @@ TEST(ValueTest, TypedAccessAndComparison) {
   EXPECT_TRUE(Value(int64_t{99}) < Value("a"));
 }
 
+TEST(ValueTest, NumbersCompareExactlyAcrossIntAndDouble) {
+  const Value lo(int64_t{9007199254740992});  // 2^53
+  const Value hi(int64_t{9007199254740993});  // 2^53 + 1: no double holds it
+  EXPECT_TRUE(lo < hi);
+  EXPECT_FALSE(hi < lo);
+  EXPECT_TRUE(Value(INT64_MAX - 1) < Value(INT64_MAX));
+  EXPECT_TRUE(Value(INT64_MIN) < Value(INT64_MIN + 1));
+  // INT against DOUBLE without rounding the int: 2^53 as a double equals lo
+  // and is below hi.
+  const Value d(9007199254740992.0);
+  EXPECT_FALSE(lo < d);
+  EXPECT_FALSE(d < lo);
+  EXPECT_TRUE(d < hi);
+  EXPECT_FALSE(hi < d);
+  EXPECT_TRUE(Value(-3.5) < Value(int64_t{-3}));
+  EXPECT_FALSE(Value(int64_t{-3}) < Value(-3.5));
+  EXPECT_TRUE(Value(int64_t{-4}) < Value(-3.5));
+  // INT64_MAX rounds up to 2^63 as a double; compared exactly it is below.
+  EXPECT_TRUE(Value(INT64_MAX) < Value(0x1p63));
+  EXPECT_FALSE(Value(0x1p63) < Value(INT64_MAX));
+  EXPECT_TRUE(Value(-0x1p64) < Value(INT64_MIN));
+  EXPECT_FALSE(Value(-0x1p63) < Value(INT64_MIN));
+  EXPECT_FALSE(Value(INT64_MIN) < Value(-0x1p63));
+}
+
+TEST(ValueTest, MixedNumericOrderIsStrictWeak) {
+  const int64_t big = int64_t{1} << 53;
+  std::vector<Value> values = {
+      Value::Null(),          Value(big),       Value(big + 1),     Value(big + 2),
+      Value(static_cast<double>(big)),          Value(static_cast<double>(big + 2)),
+      Value(-0.0),            Value(0.0),       Value(int64_t{0}),  Value(false),
+      Value(true),            Value(int64_t{1}), Value(0.5),        Value(INT64_MAX),
+      Value(INT64_MIN),       Value(0x1p63),    Value(-0x1p63),     Value("a"),
+      Value("")};
+  auto equiv = [](const Value& a, const Value& b) { return !(a < b) && !(b < a); };
+  for (const Value& a : values) {
+    EXPECT_FALSE(a < a) << a.ToString();
+    for (const Value& b : values) {
+      EXPECT_FALSE(a < b && b < a) << a.ToString() << " " << b.ToString();
+      for (const Value& c : values) {
+        if (a < b && b < c) {
+          EXPECT_TRUE(a < c) << a.ToString() << " " << b.ToString() << " " << c.ToString();
+        }
+        if (equiv(a, b) && equiv(b, c)) {
+          EXPECT_TRUE(equiv(a, c)) << a.ToString() << " " << b.ToString() << " " << c.ToString();
+        }
+      }
+    }
+  }
+}
+
 TEST(ValueTest, ToNumericCoercions) {
   EXPECT_DOUBLE_EQ(Value(int64_t{4}).ToNumeric(), 4.0);
   EXPECT_DOUBLE_EQ(Value(true).ToNumeric(), 1.0);

@@ -3,6 +3,7 @@
 #include "common/fault_injector.h"
 #include "olap/baselines.h"
 #include "olap/cluster.h"
+#include "olap/lifecycle.h"
 #include "stream/broker.h"
 
 namespace uberrt::olap {
@@ -284,6 +285,31 @@ TEST_F(OlapClusterTest, PeerToPeerRecoveryRestoresKilledServer) {
   EXPECT_EQ(report.value().segments_lost, 0);
   EXPECT_EQ(cluster_->NumRows("rides_t").value(), rows_before);
   faults_.SetDown("store", false);
+}
+
+TEST_F(OlapClusterTest, BareSegmentBlobIsCorruptionAndCountsAsLost) {
+  for (int i = 0; i < 300; ++i) ProduceRide(i, i % 2 ? "sf" : "nyc", 2.0);
+  ClusterTableOptions options;
+  options.archival_mode = ArchivalMode::kSyncCentralized;
+  ASSERT_TRUE(cluster_->CreateTable(RideTable(), "rides", options).ok());
+  ASSERT_TRUE(cluster_->IngestAll("rides_t").ok());
+  const std::vector<std::string> keys = store_->List("segments/rides_t/");
+  ASSERT_FALSE(keys.empty());
+  // Replace every archived frame with the bare segment blob it wraps: the
+  // segment frame is the only archive format, so these no longer decode.
+  for (const std::string& key : keys) {
+    Result<SegmentFrame> frame = DecodeSegmentFrame(store_->Get(key).value());
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    auto bare = std::make_shared<const std::string>(frame.value().segment->Serialize());
+    EXPECT_TRUE(DecodeSegmentFrame(*bare).status().IsCorruption());
+    EXPECT_TRUE(DecodeSegmentFrameLazy(bare).status().IsCorruption());
+    ASSERT_TRUE(store_->Put(key, *bare).ok());
+  }
+  ASSERT_TRUE(cluster_->KillServer("rides_t", 0).ok());
+  Result<RecoveryReport> report = cluster_->RecoverServer("rides_t", 0);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report.value().segments_lost, 0);
+  EXPECT_EQ(report.value().segments_from_store, 0);
 }
 
 TEST(EsLikeStoreTest, QueryParityWithOlapSemantics) {

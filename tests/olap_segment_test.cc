@@ -167,6 +167,32 @@ TEST(SegmentTest, GroupByProducesPartialAccumulators) {
   }
 }
 
+TEST(SegmentTest, IntDictionaryKeepsValuesBeyondDoublePrecision) {
+  // 2^53 and 2^53 + 1 are one value as doubles; an INT dictionary must keep
+  // them apart while consuming and after seal.
+  const RowSchema schema({{"id", ValueType::kInt}});
+  const int64_t big = int64_t{1} << 53;
+  const std::vector<Row> rows{{Value(big)}, {Value(big + 1)}};
+  std::shared_ptr<Segment> consuming = Segment::Consuming(schema);
+  for (const Row& row : rows) ASSERT_TRUE(consuming->Append(row).ok());
+  Result<std::shared_ptr<Segment>> sealed = Segment::Build("s0", schema, rows, {});
+  ASSERT_TRUE(sealed.ok()) << sealed.status().ToString();
+  for (const Segment* segment : {consuming.get(), sealed.value().get()}) {
+    EXPECT_EQ(segment->GetValue(0, 0).AsInt(), big);
+    EXPECT_EQ(segment->GetValue(1, 0).AsInt(), big + 1);
+    for (bool force_scalar : {false, true}) {
+      OlapQuery query;
+      query.aggregations = {OlapAggregation::Count("n")};
+      query.filters = {FilterPredicate::Eq("id", Value(big + 1))};
+      query.force_scalar = force_scalar;
+      OlapQueryStats stats;
+      Result<OlapResult> result = segment->Execute(query, nullptr, &stats);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result.value().rows[0][0].AsInt(), 1) << "scalar=" << force_scalar;
+    }
+  }
+}
+
 TEST(SegmentTest, SortedColumnServesRangeWithoutFullScan) {
   SegmentIndexConfig config;
   config.sorted_column = "restaurant";

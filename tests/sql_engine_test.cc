@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "compute/flink_sql.h"
+#include "compute/window_operator.h"
 #include "olap/cluster.h"
+#include "olap/segment.h"
 #include "sql/engine.h"
 #include "storage/archive.h"
 #include "stream/broker.h"
@@ -201,6 +204,223 @@ TEST_F(PrestoEngineTest, GlobalAggregateOverEmptyMatchIsZero) {
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().rows.size(), 1u);
   EXPECT_EQ(result.value().rows[0][0].AsInt(), 0);
+}
+
+TEST_F(PrestoEngineTest, EmptyGroupedAggregateTypesMatchPushdown) {
+  const std::string sql =
+      "SELECT restaurant_id, COUNT(*) AS n, SUM(total) AS sales FROM orders "
+      "WHERE restaurant_id = 777 GROUP BY restaurant_id";
+  PrestoEngine local(&catalog_, PushdownLevel::kNone);
+  PrestoEngine pushed(&catalog_, PushdownLevel::kFull);
+  Result<QueryResult> r_local = local.Execute(sql);
+  Result<QueryResult> r_pushed = pushed.Execute(sql);
+  ASSERT_TRUE(r_local.ok()) << r_local.status().ToString();
+  ASSERT_TRUE(r_pushed.ok()) << r_pushed.status().ToString();
+  EXPECT_TRUE(r_local.value().rows.empty());
+  EXPECT_TRUE(r_pushed.value().rows.empty());
+  EXPECT_FALSE(r_local.value().stats.aggregation_pushed);
+  EXPECT_TRUE(r_pushed.value().stats.aggregation_pushed);
+  EXPECT_EQ(r_local.value().schema.fields()[1].type, ValueType::kInt);
+  EXPECT_EQ(r_local.value().schema.fields()[2].type, ValueType::kDouble);
+  for (size_t i = 1; i < 3; ++i) {
+    EXPECT_EQ(r_local.value().schema.fields()[i], r_pushed.value().schema.fields()[i]);
+  }
+}
+
+// --- One aggregate across the engines -----------------------------------------
+//
+// FlinkSQL's window aggregation, Pinot-style segments (vectorized and scalar)
+// and Presto's in-memory aggregation all run the one AggAccumulator, so the
+// same rows give bitwise-identical COUNT/SUM/MIN/MAX/AVG. NULL and string
+// cells read as 0 in every engine. Values are dyadic so no engine's
+// summation order can round differently.
+
+RowSchema AggSchema() {
+  return RowSchema({{"k", ValueType::kString}, {"v", ValueType::kDouble}});
+}
+
+std::vector<Row> AggRows() {
+  std::vector<Row> rows;
+  const double values[] = {1.5, -3.25, 0.125, 1024.0, -0.5, 7.75, 2.0, -64.0, 0.0625};
+  for (int i = 0; i < 27; ++i) {
+    Value v(values[i % 9]);
+    if (i % 7 == 3) v = Value::Null();
+    if (i % 11 == 5) v = Value("12");  // a string cell aggregates as 0
+    rows.push_back({Value(i % 3 == 0 ? "a" : "b"), std::move(v)});
+  }
+  return rows;
+}
+
+const std::vector<AggregateSpec>& AllAggregates() {
+  static const std::vector<AggregateSpec> aggs = {
+      AggregateSpec::Count("n"), AggregateSpec::Sum("v", "s"), AggregateSpec::Min("v", "lo"),
+      AggregateSpec::Max("v", "hi"), AggregateSpec::Avg("v", "avg")};
+  return aggs;
+}
+
+const char* kAggSql = "SELECT k, COUNT(*) AS n, sUm(v) AS s, min(v) AS lo, Max(v) AS hi, "
+                      "AVG(v) AS avg FROM t";
+
+/// Finished rows [k, n, s, lo, hi, avg] keyed by k.
+using AggByKey = std::map<std::string, Row>;
+
+AggByKey WindowAggregate(const std::vector<Row>& rows) {
+  compute::TransformSpec spec;
+  spec.kind = compute::TransformSpec::Kind::kWindowAggregate;
+  spec.key_fields = {"k"};
+  spec.window = compute::WindowSpec::Tumbling(1'000'000);
+  spec.aggregates = AllAggregates();
+  compute::WindowAggregateOperator op(spec, AggSchema());
+  struct Collect : compute::Emitter {
+    void Emit(Row row, TimestampMs) override { out.push_back(std::move(row)); }
+    std::vector<Row> out;
+  } emitter;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    op.ProcessRecord(compute::Element::Record(rows[i], static_cast<TimestampMs>(i)), &emitter);
+  }
+  op.OnWatermark(compute::kMaxWatermark, &emitter);
+  AggByKey result;
+  for (Row& row : emitter.out) {
+    row.erase(row.begin() + 1);  // window_start
+    result[row[0].AsString()] = std::move(row);
+  }
+  return result;
+}
+
+Result<AggByKey> SegmentAggregate(const std::vector<Row>& rows, bool force_scalar,
+                                  const std::vector<olap::FilterPredicate>& filters) {
+  Result<std::shared_ptr<olap::Segment>> segment =
+      olap::Segment::Build("agg", AggSchema(), rows, {});
+  if (!segment.ok()) return segment.status();
+  olap::OlapQuery query;
+  query.aggregations = AllAggregates();
+  query.filters = filters;
+  query.group_by = {"k"};
+  query.force_scalar = force_scalar;
+  if (!filters.empty()) query.group_by.clear();  // global: one row even when empty
+  olap::OlapQueryStats stats;
+  Result<olap::OlapResult> partial = segment.value()->Execute(query, nullptr, &stats);
+  if (!partial.ok()) return partial.status();
+  Result<olap::OlapResult> merged =
+      olap::MergeAndFinalize(query, AggSchema(), std::move(partial.value().rows));
+  if (!merged.ok()) return merged.status();
+  AggByKey result;
+  for (Row& row : merged.value().rows) {
+    if (query.group_by.empty()) row.insert(row.begin(), Value(""));
+    result[row[0].AsString()] = std::move(row);
+  }
+  return result;
+}
+
+Result<AggByKey> PrestoAggregate(const std::vector<Row>& rows, const std::string& where) {
+  InMemoryObjectStore store;
+  ArchiveTable table(&store, "t", AggSchema());
+  UBERRT_RETURN_IF_ERROR(table.AppendBatch("all", rows));
+  Catalog catalog;
+  catalog.Register("t", std::make_unique<ArchiveConnector>(&table));
+  PrestoEngine engine(&catalog);
+  std::string sql = kAggSql;
+  if (where.empty()) {
+    sql += " GROUP BY k";
+  } else {
+    sql = "SELECT COUNT(*) AS n, sUm(v) AS s, min(v) AS lo, Max(v) AS hi, AVG(v) AS avg "
+          "FROM t WHERE " + where;
+  }
+  Result<QueryResult> result = engine.Execute(sql);
+  if (!result.ok()) return result.status();
+  if (result.value().stats.aggregation_pushed) return Status::Internal("not in memory");
+  for (size_t i = 0; i < AllAggregates().size(); ++i) {
+    const FieldSpec& field = result.value().schema.fields()[result.value().schema.NumFields() -
+                                                            AllAggregates().size() + i];
+    if (field.type != AllAggregates()[i].ResultType()) return Status::Internal("type");
+  }
+  AggByKey by_key;
+  for (Row& row : result.value().rows) {
+    if (!where.empty()) row.insert(row.begin(), Value(""));
+    by_key[row[0].AsString()] = std::move(row);
+  }
+  return by_key;
+}
+
+/// Bitwise equality: Value == compares doubles by value, so -0.0 == 0.0.
+void ExpectBitwiseEqual(const AggByKey& expected, const AggByKey& actual,
+                        const std::string& engine) {
+  ASSERT_EQ(expected.size(), actual.size()) << engine;
+  for (const auto& [key, row] : expected) {
+    ASSERT_EQ(actual.count(key), 1u) << engine << " key " << key;
+    EXPECT_EQ(EncodeRow(row), EncodeRow(actual.at(key))) << engine << " key " << key;
+  }
+}
+
+TEST(CrossEngineAggregateTest, SameRowsSameBits) {
+  const std::vector<Row> rows = AggRows();
+  AggByKey window = WindowAggregate(rows);
+  ASSERT_EQ(window.size(), 2u);
+  EXPECT_EQ(window["a"][1].AsInt(), 9);
+  for (bool force_scalar : {false, true}) {
+    Result<AggByKey> segment = SegmentAggregate(rows, force_scalar, {});
+    ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+    ExpectBitwiseEqual(window, segment.value(), force_scalar ? "scalar" : "vectorized");
+  }
+  Result<AggByKey> presto = PrestoAggregate(rows, "");
+  ASSERT_TRUE(presto.ok()) << presto.status().ToString();
+  ExpectBitwiseEqual(window, presto.value(), "presto");
+}
+
+TEST(CrossEngineAggregateTest, EmptyInputFinishesToZeros) {
+  // A window never fires without input; what it would finish is the empty
+  // accumulator, which the segment and Presto global aggregates return.
+  Row expected{Value("")};
+  for (const AggregateSpec& agg : AllAggregates()) {
+    expected.push_back(AggAccumulator().Finish(agg.kind));
+  }
+  const AggByKey empty{{"", expected}};
+  for (bool force_scalar : {false, true}) {
+    Result<AggByKey> segment = SegmentAggregate(
+        AggRows(), force_scalar, {olap::FilterPredicate::Eq("k", Value("none"))});
+    ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+    ExpectBitwiseEqual(empty, segment.value(), force_scalar ? "scalar" : "vectorized");
+  }
+  Result<AggByKey> presto = PrestoAggregate(AggRows(), "k = 'none'");
+  ASSERT_TRUE(presto.ok()) << presto.status().ToString();
+  ExpectBitwiseEqual(empty, presto.value(), "presto");
+  EXPECT_TRUE(WindowAggregate({}).empty());
+}
+
+TEST(CrossEngineAggregateTest, AggregateNamesParseInAnyCase) {
+  EXPECT_EQ(ParseAggregateKind("count"), AggregateSpec::Kind::kCount);
+  EXPECT_EQ(ParseAggregateKind("CoUnT"), AggregateSpec::Kind::kCount);
+  EXPECT_EQ(ParseAggregateKind("sum"), AggregateSpec::Kind::kSum);
+  EXPECT_EQ(ParseAggregateKind("Min"), AggregateSpec::Kind::kMin);
+  EXPECT_EQ(ParseAggregateKind("mAX"), AggregateSpec::Kind::kMax);
+  EXPECT_EQ(ParseAggregateKind("AVG"), AggregateSpec::Kind::kAvg);
+  EXPECT_FALSE(ParseAggregateKind("").has_value());
+  EXPECT_FALSE(ParseAggregateKind("COUNTS").has_value());
+  EXPECT_FALSE(ParseAggregateKind("MEDIAN").has_value());
+  EXPECT_FALSE(ParseAggregateKind("AV").has_value());
+}
+
+TEST(CrossEngineAggregateTest, UnknownAggregateRejectedAlikeByFlinkSqlAndPresto) {
+  RowSchema schema({{"k", ValueType::kString}, {"v", ValueType::kDouble},
+                    {"ts", ValueType::kInt}});
+  Result<compute::JobGraph> flink = compute::CompileStreamingSql(
+      "SELECT k, COUNT(*) AS n, MEDIAN(v) AS m FROM t "
+      "GROUP BY k, TUMBLE(ts, INTERVAL '1' MINUTE)",
+      schema);
+  InMemoryObjectStore store;
+  ArchiveTable table(&store, "t", schema);
+  ASSERT_TRUE(table.AppendBatch("all", {{Value("a"), Value(1.0), Value(int64_t{1})}}).ok());
+  Catalog catalog;
+  catalog.Register("t", std::make_unique<ArchiveConnector>(&table));
+  PrestoEngine engine(&catalog);
+  Result<QueryResult> presto =
+      engine.Execute("SELECT k, COUNT(*) AS n, MEDIAN(v) AS m FROM t GROUP BY k");
+  ASSERT_FALSE(flink.ok());
+  ASSERT_FALSE(presto.ok());
+  EXPECT_EQ(flink.status().ToString(), presto.status().ToString());
+  EXPECT_NE(flink.status().ToString().find("unsupported aggregate: MEDIAN(v)"),
+            std::string::npos)
+      << flink.status().ToString();
 }
 
 }  // namespace

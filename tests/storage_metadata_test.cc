@@ -1,9 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <memory>
+#include <vector>
+
 #include "common/fault_injector.h"
+#include "common/hash.h"
+#include "compute/checkpoint.h"
+#include "compute/window_operator.h"
 #include "metadata/schema_registry.h"
+#include "olap/lifecycle.h"
+#include "olap/segment.h"
 #include "storage/archive.h"
 #include "storage/object_store.h"
+#include "stream/wire.h"
 
 namespace uberrt {
 namespace {
@@ -152,6 +162,164 @@ TEST(SchemaRegistryTest, LineageCycleSafe) {
   registry.AddLineage("a", "b");
   registry.AddLineage("b", "a");
   EXPECT_EQ(registry.Downstream("a").size(), 1u);  // terminates
+}
+
+// --- Golden bytes ------------------------------------------------------------
+//
+// Every blob format below is persisted (object store, checkpoints) or sent
+// (stream batches), so its bytes must not drift. Each case pins the size and
+// Fnv1a64 of the bytes one fixed input encodes to. The round-trip tests
+// elsewhere compare an encoder against its own decoder and cannot see a
+// drift that both sides share.
+
+struct Golden {
+  size_t size;
+  uint64_t fnv;
+};
+
+void ExpectGolden(const std::string& blob, Golden expected) {
+  EXPECT_EQ(blob.size(), expected.size);
+  EXPECT_EQ(Fnv1a64(blob), expected.fnv)
+      << "actual: {" << blob.size() << "u, 0x" << std::hex << Fnv1a64(blob) << "ULL}";
+}
+
+/// One row holding every value type, including the edge cases of each body.
+Row EveryTypeRow() {
+  return {Value::Null(),          Value(int64_t{-2}), Value(int64_t{1} << 53),
+          Value(-0.0),            Value(2.5),         Value(std::string("a\0b", 3)),
+          Value(std::string()),   Value(true),        Value(false)};
+}
+
+TEST(GoldenBytesTest, EncodeRow) {
+  std::string blob = EncodeRow(EveryTypeRow());
+  const std::string expected(
+      "\x09\x00\x00\x00"                          // field count
+      "\x00"                                         // null
+      "\x01\xfe\xff\xff\xff\xff\xff\xff\xff"  // int -2
+      "\x01\x00\x00\x00\x00\x00\x00\x20\x00"  // int 2^53
+      "\x02\x00\x00\x00\x00\x00\x00\x00\x80"  // double -0.0
+      "\x02\x00\x00\x00\x00\x00\x00\x04\x40"  // double 2.5
+      "\x03\x03\x00\x00\x00" "a\x00" "b"         // string with a NUL
+      "\x03\x00\x00\x00\x00"                      // empty string
+      "\x04\x01\x04\x00",                          // true, false
+      58);
+  EXPECT_EQ(blob, expected);
+}
+
+TEST(GoldenBytesTest, EncodeRowBatch) {
+  std::vector<Row> rows{EveryTypeRow(), {}, {Value(int64_t{7}), Value("x")}};
+  ExpectGolden(storage::EncodeRowBatch(rows), {97u, 0x2b90ffd80d5b3faeULL});
+}
+
+TEST(GoldenBytesTest, CheckpointBlob) {
+  compute::CheckpointData data;
+  data.sequence = 42;
+  data.entries["source.0.1"] = "1234";
+  data.entries["op.1.0"] = std::string("st\0ate", 6);
+  data.entries["op.2.0"] = "";
+  ExpectGolden(data.Encode(), {67u, 0x727605c2a9ca2a6fULL});
+}
+
+class DiscardEmitter : public compute::Emitter {
+ public:
+  void Emit(Row, TimestampMs) override {}
+};
+
+TEST(GoldenBytesTest, WindowAggregateSnapshot) {
+  compute::TransformSpec spec;
+  spec.kind = compute::TransformSpec::Kind::kWindowAggregate;
+  spec.key_fields = {"k", "n"};
+  spec.window = compute::WindowSpec::Tumbling(100);
+  spec.aggregates = {compute::AggregateSpec::Count("c"), compute::AggregateSpec::Sum("v", "s"),
+                     compute::AggregateSpec::Min("v", "lo"),
+                     compute::AggregateSpec::Max("v", "hi"),
+                     compute::AggregateSpec::Avg("v", "avg")};
+  RowSchema schema({{"k", ValueType::kString}, {"n", ValueType::kInt},
+                    {"v", ValueType::kDouble}});
+  compute::WindowAggregateOperator op(spec, schema);
+  DiscardEmitter out;
+  const double values[] = {1.5, -3.0, 0.25, 8.0, -0.0, 2.0};
+  for (int i = 0; i < 6; ++i) {
+    Row row{Value(i % 2 == 0 ? "a" : "b"), Value(int64_t{i % 3}), Value(values[i])};
+    op.ProcessRecord(compute::Element::Record(std::move(row), i * 70), &out);
+  }
+  ExpectGolden(op.SnapshotState(), {1528u, 0xaf919fe4691f54dbULL});
+}
+
+TEST(GoldenBytesTest, WindowJoinSnapshot) {
+  compute::TransformSpec spec;
+  spec.kind = compute::TransformSpec::Kind::kWindowJoin;
+  spec.key_fields = {"k"};
+  spec.window = compute::WindowSpec::Tumbling(1000);
+  RowSchema left({{"k", ValueType::kString}, {"l", ValueType::kDouble}});
+  RowSchema right({{"k", ValueType::kString}, {"r", ValueType::kInt}});
+  compute::WindowJoinOperator op(spec, left, right);
+  DiscardEmitter out;
+  op.ProcessRecord(compute::Element::Record({Value("a"), Value(1.0)}, 10, 0), &out);
+  op.ProcessRecord(compute::Element::Record({Value("b"), Value(2.0)}, 1500, 0), &out);
+  op.ProcessRecord(compute::Element::Record({Value("a"), Value(int64_t{3})}, 20, 1), &out);
+  op.ProcessRecord(compute::Element::Record({Value("a"), Value::Null()}, 30, 1), &out);
+  ExpectGolden(op.SnapshotState(), {292u, 0x2a9f9540daaba3ecULL});
+}
+
+/// 200 rows: a sorted INT column, a high-cardinality STRING column (bloom
+/// filter), a low-cardinality inverted STRING column and a DOUBLE metric,
+/// with a star-tree over (city, status).
+std::shared_ptr<olap::Segment> GoldenSegment(bool bit_packed) {
+  RowSchema schema({{"ts", ValueType::kInt}, {"id", ValueType::kString},
+                    {"city", ValueType::kString}, {"status", ValueType::kString},
+                    {"fare", ValueType::kDouble}});
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 200; ++i) {
+    rows.push_back({Value((i * 37) % 200 - 50), Value("id" + std::to_string(i * 13 % 97)),
+                    Value(i % 3 == 0 ? "sf" : "nyc"),
+                    i % 11 == 0 ? Value::Null() : Value(i % 2 == 0 ? "done" : "open"),
+                    Value(static_cast<double>(i % 17) * 1.25 - 4.0)});
+  }
+  olap::SegmentIndexConfig config;
+  config.sorted_column = "ts";
+  config.inverted_columns = {"city"};
+  config.star_tree_dimensions = {"city", "status"};
+  config.star_tree_metrics = {"fare"};
+  config.bit_packed_forward_index = bit_packed;
+  Result<std::shared_ptr<olap::Segment>> segment =
+      olap::Segment::Build("golden_seg", schema, std::move(rows), config);
+  EXPECT_TRUE(segment.ok());
+  return segment.value();
+}
+
+TEST(GoldenBytesTest, SegmentSerialize) {
+  ExpectGolden(GoldenSegment(true)->Serialize(), {4128u, 0x88c83709f9977effULL});
+  ExpectGolden(GoldenSegment(false)->Serialize(), {7476u, 0x31c3698f1f2ba634ULL});
+}
+
+TEST(GoldenBytesTest, SegmentFrame) {
+  olap::SegmentFrame frame;
+  frame.seq = 9;
+  frame.min_time = -50;
+  frame.max_time = 149;
+  frame.segment = GoldenSegment(true);
+  ExpectGolden(olap::EncodeSegmentFrame(frame), {4168u, 0xc4f7257df8f9b81cULL});
+  auto validity = std::make_shared<std::vector<bool>>(130, true);
+  for (size_t i = 0; i < validity->size(); i += 7) (*validity)[i] = false;
+  frame.validity = validity;
+  ExpectGolden(olap::EncodeSegmentFrame(frame), {4200u, 0x9e118c13451b22c3ULL});
+}
+
+TEST(GoldenBytesTest, StreamBatch) {
+  stream::wire::BatchBuilder builder;
+  stream::Message a;
+  a.key = "rider-1";
+  a.value = EncodeRow({Value(int64_t{5}), Value("sf")});
+  a.timestamp = 1700000000123;
+  a.headers["trace"] = "t-1";
+  a.headers["tier"] = "";
+  builder.Add(a);
+  stream::Message b;
+  b.value = std::string("\0\xff", 2);
+  b.timestamp = 17;
+  builder.Add(b);
+  ExpectGolden(builder.Finish().data, {129u, 0xb1d6a38537c02fe7ULL});
 }
 
 }  // namespace

@@ -36,8 +36,6 @@ TEST(WireTest, FrameSizeMatchesEncodedBytes) {
   std::string buf;
   wire::AppendFrame(buf, m);
   EXPECT_EQ(buf.size(), m.FrameSize());
-  // And the deprecated alias agrees (the old flat-24 formula did not).
-  EXPECT_EQ(m.ByteSize(), m.FrameSize());
 
   Message empty;
   std::string buf2;
