@@ -25,22 +25,26 @@ void FaultInjector::SetRule(const std::string& site, FaultRule rule) {
   RuleState& state = rules_[site];
   state.rule = std::move(rule);
   state.triggered = 0;
+  has_rules_.store(!rules_.empty(), std::memory_order_release);
 }
 
 void FaultInjector::ClearRule(const std::string& site) {
   std::lock_guard<std::mutex> lock(mu_);
   rules_.erase(site);
+  has_rules_.store(!rules_.empty(), std::memory_order_release);
 }
 
 void FaultInjector::SetDown(const std::string& site, bool down) {
   std::lock_guard<std::mutex> lock(mu_);
   rules_[site].rule.down = down;
+  has_rules_.store(!rules_.empty(), std::memory_order_release);
 }
 
 void FaultInjector::ScheduleOutage(const std::string& site,
                                    TimestampMs start_ms, TimestampMs end_ms) {
   std::lock_guard<std::mutex> lock(mu_);
   rules_[site].rule.outages.push_back(OutageWindow{start_ms, end_ms});
+  has_rules_.store(!rules_.empty(), std::memory_order_release);
 }
 
 std::vector<FaultInjector::RuleState*> FaultInjector::MatchingRulesLocked(
@@ -60,6 +64,7 @@ std::vector<FaultInjector::RuleState*> FaultInjector::MatchingRulesLocked(
 
 Status FaultInjector::Check(const std::string& site) {
   checks_total_->Increment();
+  if (!has_rules_.load(std::memory_order_acquire)) return Status::Ok();
   int64_t latency_ms = 0;
   Status injected = Status::Ok();
   {

@@ -1,6 +1,7 @@
 #ifndef UBERRT_COMMON_FAULT_INJECTOR_H_
 #define UBERRT_COMMON_FAULT_INJECTOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -110,6 +111,9 @@ class FaultInjector {
   mutable std::mutex mu_;
   Rng rng_;                                // guarded by mu_
   std::map<std::string, RuleState> rules_;  // guarded by mu_
+  /// !rules_.empty(), stored under mu_ by every rule change: Check on a
+  /// fault plane with no rules (every produce, normally) takes no lock.
+  std::atomic<bool> has_rules_{false};
   mutable MetricsRegistry metrics_;
   Counter* checks_total_;
   Counter* injected_total_;

@@ -119,8 +119,32 @@ void AppendValue(std::string* out, const Value& v) {
   }
 }
 
+namespace {
+
+/// Bytes AppendValue writes for `v`.
+size_t EncodedValueSize(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kInt:
+    case ValueType::kDouble:
+      return 1 + 8;
+    case ValueType::kString:
+      return 1 + 4 + v.AsString().size();
+    case ValueType::kBool:
+      return 1 + 1;
+    case ValueType::kNull:
+      break;
+  }
+  return 1;
+}
+
+}  // namespace
+
 std::string EncodeRow(const Row& row) {
+  // Sized first, so the row is encoded into one allocation.
+  size_t size = 4;
+  for (const Value& v : row) size += EncodedValueSize(v);
   std::string out;
+  out.reserve(size);
   bytes::AppendU32(&out, static_cast<uint32_t>(row.size()));
   for (const Value& v : row) AppendValue(&out, v);
   return out;

@@ -32,7 +32,10 @@ constexpr uint8_t kChannelOpen = 0;
 constexpr uint8_t kChannelAligned = 1;  ///< delivered the current barrier
 constexpr uint8_t kChannelEnded = 2;    ///< sent End; counts as aligned
 
-/// Terminal stage: delivers rows to the configured sink.
+/// Terminal stage: delivers rows to the configured sink. A topic sink
+/// assigns partitions round-robin per row and sends each run of records as
+/// one wire batch per touched partition (ProduceBatch), rows in arrival
+/// order within each partition.
 class SinkOperator : public OperatorInstance {
  public:
   SinkOperator(const SinkSpec& spec, stream::MessageBus* bus,
@@ -40,22 +43,51 @@ class SinkOperator : public OperatorInstance {
       : spec_(spec), bus_(bus), records_out_(records_out) {}
 
   void ProcessRecord(const Element& element, Emitter* out) override {
+    ProcessBatch(&element, 1, out);
+  }
+
+  void ProcessBatch(const Element* elements, size_t count, Emitter* out) override {
     (void)out;
     if (spec_.kind == SinkSpec::Kind::kTopic) {
-      stream::Message message;
-      message.value = EncodeRow(element.row);
-      message.timestamp = element.event_time;
-      bus_->Produce(spec_.topic, std::move(message), stream::AckMode::kLeader).ok();
+      ProduceToTopic(elements, count);
     } else if (spec_.collector) {
-      spec_.collector(element.row, element.event_time);
+      for (size_t i = 0; i < count; ++i) {
+        spec_.collector(elements[i].row, elements[i].event_time);
+      }
     }
-    records_out_->fetch_add(1);
+    records_out_->fetch_add(static_cast<int64_t>(count));
   }
 
  private:
+  void ProduceToTopic(const Element* elements, size_t count) {
+    if (builders_.empty()) {
+      // Failures drop the rows, as a failed per-row produce did.
+      Result<int32_t> partitions = bus_->NumPartitions(spec_.topic);
+      if (!partitions.ok()) return;
+      builders_.resize(static_cast<size_t>(partitions.value()));
+    }
+    for (size_t i = 0; i < count; ++i) {
+      scratch_.value = EncodeRow(elements[i].row);
+      // A zero timestamp is stamped at produce time, as the broker does.
+      scratch_.timestamp = elements[i].event_time != 0 ? elements[i].event_time
+                                                       : SystemClock::Instance()->NowMs();
+      builders_[next_partition_].Add(scratch_);
+      next_partition_ = (next_partition_ + 1) % builders_.size();
+    }
+    for (size_t p = 0; p < builders_.size(); ++p) {
+      if (builders_[p].empty()) continue;
+      bus_->ProduceBatch(spec_.topic, static_cast<int32_t>(p), builders_[p].Finish(),
+                         stream::AckMode::kLeader)
+          .ok();
+    }
+  }
+
   SinkSpec spec_;
   stream::MessageBus* bus_;
   std::atomic<int64_t>* records_out_;
+  std::vector<stream::wire::BatchBuilder> builders_;  ///< one per partition
+  size_t next_partition_ = 0;
+  stream::Message scratch_;  ///< reused per row: value and timestamp only
 };
 
 }  // namespace

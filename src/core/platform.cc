@@ -2,6 +2,9 @@
 
 #include "sql/parser.h"
 
+#include <charconv>
+#include <cstring>
+#include <iterator>
 #include <sstream>
 
 namespace uberrt::core {
@@ -13,6 +16,17 @@ common::ExecutorOptions PlatformExecutorOptions(const RealtimePlatform::Options&
   exec.num_threads = options.executor_threads;
   exec.name = "executor.platform";
   return exec;
+}
+
+/// The Table 1 rows, in order; a layer's usage bit is its index here.
+constexpr const char* kLayers[] = {kLayerApi,     kLayerSql,    kLayerOlap,
+                                   kLayerCompute, kLayerStream, kLayerStorage};
+
+uint32_t LayerBit(const char* layer) {
+  for (size_t i = 0; i < std::size(kLayers); ++i) {
+    if (std::strcmp(kLayers[i], layer) == 0) return uint32_t{1} << i;
+  }
+  return 0;
 }
 
 compute::JobManagerOptions PlatformJobManagerOptions(common::Executor* executor) {
@@ -42,10 +56,13 @@ RealtimePlatform::RealtimePlatform(Options options)
   }
 }
 
-void RealtimePlatform::MarkUsage(const std::string& actor, const std::string& layer) {
+void RealtimePlatform::MarkUsage(std::string_view actor, const char* layer) {
   if (actor.empty()) return;
+  const uint32_t bit = LayerBit(layer);
   std::lock_guard<std::mutex> lock(usage_mu_);
-  usage_[actor].insert(layer);
+  auto it = usage_.find(actor);
+  if (it == usage_.end()) it = usage_.emplace(std::string(actor), 0).first;
+  it->second |= bit;
 }
 
 Status RealtimePlatform::ProvisionTopic(const std::string& topic,
@@ -91,17 +108,24 @@ Result<stream::ProduceResult> RealtimePlatform::ProduceRow(const std::string& to
                                                            const Row& row,
                                                            const std::string& key,
                                                            TimestampMs event_time,
-                                                           const std::string& actor) {
+                                                           std::string_view actor) {
   stream::Message message;
   message.key = key;
   message.value = EncodeRow(row);
   message.timestamp = event_time;
-  message.headers[stream::kHeaderUid] =
-      actor + "-" + std::to_string(next_uid_++);
-  message.headers[stream::kHeaderService] = actor;
-  chaperone_.Record("producer", topic, message);
+  // The uid "<actor>-<n>" is written in place into its header value.
+  char digits[20];
+  char* digits_end =
+      std::to_chars(digits, digits + sizeof(digits),
+                    next_uid_.fetch_add(1, std::memory_order_relaxed))
+          .ptr;
+  std::string& uid = message.headers[stream::kHeaderUid];
+  uid.reserve(actor.size() + 1 + static_cast<size_t>(digits_end - digits));
+  uid.append(actor).append(1, '-').append(digits, digits_end);
+  message.headers[stream::kHeaderService].assign(actor);
+  chaperone_.RecordRaw("producer", topic, event_time, uid);
   MarkUsage(actor, kLayerStream);
-  return federation_.Produce(topic, std::move(message), stream::AckMode::kLeader);
+  return federation_.Produce(topic, message, stream::AckMode::kLeader);
 }
 
 Result<std::string> RealtimePlatform::SubmitJob(const compute::JobGraph& graph,
@@ -198,15 +222,21 @@ Status RealtimePlatform::PumpUntilIngested(int32_t max_cycles) {
 }
 
 std::set<std::string> RealtimePlatform::LayersUsed(const std::string& actor) const {
-  std::lock_guard<std::mutex> lock(usage_mu_);
-  auto it = usage_.find(actor);
-  return it == usage_.end() ? std::set<std::string>{} : it->second;
+  uint32_t bits = 0;
+  {
+    std::lock_guard<std::mutex> lock(usage_mu_);
+    auto it = usage_.find(actor);
+    if (it != usage_.end()) bits = it->second;
+  }
+  std::set<std::string> layers;
+  for (size_t i = 0; i < std::size(kLayers); ++i) {
+    if ((bits >> i) & 1) layers.insert(kLayers[i]);
+  }
+  return layers;
 }
 
 std::string RealtimePlatform::RenderComponentTable(
     const std::vector<std::string>& actors) const {
-  static const char* kLayers[] = {kLayerApi, kLayerSql,    kLayerOlap,
-                                  kLayerCompute, kLayerStream, kLayerStorage};
   std::ostringstream os;
   os << "Component";
   for (const std::string& actor : actors) os << "\t" << actor;

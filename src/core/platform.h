@@ -1,11 +1,13 @@
 #ifndef UBERRT_CORE_PLATFORM_H_
 #define UBERRT_CORE_PLATFORM_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/executor.h"
@@ -87,11 +89,13 @@ class RealtimePlatform {
 
   // --- Data in -------------------------------------------------------------
 
-  /// Produces one row (audited; uid header attached).
+  /// Produces one row, audited: the `uid` header is "<actor>-<n>" with n
+  /// unique per platform, `service` is the actor, and Chaperone records the
+  /// uid at stage "producer" before the produce.
   Result<stream::ProduceResult> ProduceRow(const std::string& topic, const Row& row,
                                            const std::string& key,
                                            TimestampMs event_time,
-                                           const std::string& actor);
+                                           std::string_view actor);
 
   // --- Compute --------------------------------------------------------------
 
@@ -134,7 +138,7 @@ class RealtimePlatform {
   std::string RenderComponentTable(const std::vector<std::string>& actors) const;
 
  private:
-  void MarkUsage(const std::string& actor, const std::string& layer);
+  void MarkUsage(std::string_view actor, const char* layer);
 
   // Declared first so it is destroyed last: every layer below holds a raw
   // pointer to it and may consult it while tearing down.
@@ -153,8 +157,9 @@ class RealtimePlatform {
 
   std::vector<std::string> olap_tables_;
   mutable std::mutex usage_mu_;
-  std::map<std::string, std::set<std::string>> usage_;
-  int64_t next_uid_ = 0;
+  /// Actor -> bitmask of the layers it used (bit i = i-th Table 1 row).
+  std::map<std::string, uint32_t, std::less<>> usage_;
+  std::atomic<int64_t> next_uid_{0};
 };
 
 }  // namespace uberrt::core

@@ -495,18 +495,18 @@ Result<QueryResult> PrestoEngine::ExecuteStmt(const SelectStmt& stmt) const {
       plan.push_back(ai);
     }
 
+    // Groups are keyed by the EncodeRow bytes of their values, as the OLAP
+    // broker merge keys them: exact for every type (ToString would print
+    // DOUBLEs to 6 significant digits and merge distinct keys).
     std::map<std::string, GroupEntry> groups;
     for (const Row& row : rel.rows) {
-      std::string key;
-      std::vector<Value> group_values;
+      Row group_values;
       for (const auto& g : stmt.group_by) {
         Result<Value> v = EvalExpr(*g, row, rel.binding);
         if (!v.ok()) return v.status();
-        key.append(v.value().ToString());
-        key.push_back('\0');
         group_values.push_back(std::move(v.value()));
       }
-      GroupEntry& entry = groups[key];
+      GroupEntry& entry = groups[EncodeRow(group_values)];
       if (entry.accs.empty()) {
         entry.group_values = std::move(group_values);
         entry.accs.resize(plan.size());

@@ -109,7 +109,7 @@ void Broker::SpinCoordinationWork(AckMode ack) const {
   (void)sink;
 }
 
-Result<ProduceResult> Broker::Produce(const std::string& topic, Message message,
+Result<ProduceResult> Broker::Produce(const std::string& topic, const Message& message,
                                       AckMode ack) {
   // Topic existence is checked before availability: a missing topic is
   // NotFound even while the cluster is down, so federation retry logic does
@@ -162,9 +162,15 @@ Result<ProduceResult> Broker::Produce(const std::string& topic, Message message,
   if (partition >= num_partitions) {
     return Status::InvalidArgument("partition out of range");
   }
-  if (message.timestamp == 0) message.timestamp = clock_->NowMs();
-  message.partition = partition;
-  int64_t offset = t->partitions[static_cast<size_t>(partition)]->Append(std::move(message));
+  PartitionLog& log = *t->partitions[static_cast<size_t>(partition)];
+  int64_t offset;
+  if (message.timestamp != 0) {
+    offset = log.Append(message);
+  } else {
+    Message stamped = message;
+    stamped.timestamp = clock_->NowMs();
+    offset = log.Append(stamped);
+  }
   produced_counter_->Increment();
   ProduceResult result;
   result.partition = partition;

@@ -75,10 +75,12 @@ class Broker : public MessageBus {
   // --- Produce / fetch ---------------------------------------------------
 
   /// Appends a message. The partition is `message.partition` when >= 0,
-  /// otherwise derived from the key hash, otherwise round-robin.
+  /// otherwise derived from the key hash, otherwise round-robin. A message
+  /// with timestamp 0 is stamped with the broker clock; that is the only
+  /// case that copies it.
   /// A missing topic is NotFound even while the cluster is unavailable, so
   /// retry logic never spins on a topic that will never exist.
-  Result<ProduceResult> Produce(const std::string& topic, Message message,
+  Result<ProduceResult> Produce(const std::string& topic, const Message& message,
                                 AckMode ack = AckMode::kLeader) override;
 
   /// Appends a pre-encoded batch to one explicit partition with a single

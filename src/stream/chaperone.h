@@ -4,8 +4,8 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -19,6 +19,38 @@ struct WindowStats {
   TimestampMs window_start = 0;
   int64_t count = 0;   ///< messages observed
   int64_t unique = 0;  ///< distinct uids observed (duplication = count - unique)
+};
+
+/// The distinct uids of one audit window, stored compactly: each uid once,
+/// u32-length-prefixed, back to back in one byte arena, found through an
+/// open-addressing (linear probing) index of 8-byte slots. A slot packs the
+/// top 24 bits of the uid's hash as a tag with the uid's arena position + 1
+/// (0 = empty), so a probe reads the arena only when the tags agree, and
+/// every tag match is confirmed against the stored bytes — membership is
+/// exact. An insert allocates nothing unless the arena or the index grows
+/// (both double; the index stays at most half full). Positions take 40
+/// bits, so one window holds up to 1 TiB of uid bytes.
+class UidSet {
+ public:
+  /// Adds the uid; false when it was already present.
+  bool Insert(std::string_view uid);
+  /// Sizes an empty set for about `like`'s contents, so a window that fills
+  /// like the one before it grows neither its index nor its arena.
+  void ReserveLike(const UidSet& like);
+  int64_t size() const { return size_; }
+
+  /// The hash the index probes by: one multiply per 8 bytes of uid, then
+  /// murmur3's 64-bit finalizer, so the low bits that pick the home slot and
+  /// the top bits kept as the tag both depend on every input bit.
+  static uint64_t Hash(std::string_view uid);
+
+ private:
+  std::string_view StoredAt(uint64_t slot) const;
+  void Grow();
+
+  std::string arena_;
+  std::vector<uint64_t> slots_;  ///< power-of-two size; 0 = empty
+  int64_t size_ = 0;
 };
 
 /// A detected mismatch between two stages for one window.
@@ -46,41 +78,56 @@ class Chaperone {
 
   /// Reports one message observation at a stage. Uses the message's `uid`
   /// header for duplicate detection (messages without one are only counted).
-  void Record(const std::string& stage, const std::string& topic, const Message& message);
+  void Record(std::string_view stage, std::string_view topic, const Message& message);
 
-  /// Convenience for synthetic tests.
-  void RecordRaw(const std::string& stage, const std::string& topic,
-                 TimestampMs event_time, const std::string& uid);
+  /// Reports one observation with its uid given directly (empty = no uid).
+  void RecordRaw(std::string_view stage, std::string_view topic, TimestampMs event_time,
+                 std::string_view uid);
 
   /// Per-window statistics for a stage/topic, ordered by window start.
-  std::vector<WindowStats> GetStats(const std::string& stage,
-                                    const std::string& topic) const;
+  std::vector<WindowStats> GetStats(std::string_view stage, std::string_view topic) const;
 
   /// Total messages observed at a stage/topic.
-  int64_t TotalCount(const std::string& stage, const std::string& topic) const;
+  int64_t TotalCount(std::string_view stage, std::string_view topic) const;
 
   /// Compares an upstream stage against a downstream stage for one topic and
   /// returns an alert per window where they disagree:
   ///  - downstream unique count < upstream unique count -> loss
   ///  - downstream count > downstream unique            -> duplication
-  std::vector<AuditAlert> Compare(const std::string& upstream_stage,
-                                  const std::string& downstream_stage,
-                                  const std::string& topic) const;
+  std::vector<AuditAlert> Compare(std::string_view upstream_stage,
+                                  std::string_view downstream_stage,
+                                  std::string_view topic) const;
 
  private:
   struct Bucket {
     int64_t count = 0;
-    std::set<std::string> uids;
+    UidSet uids;
+  };
+  using Windows = std::map<TimestampMs, Bucket>;
+  /// One (stage, topic) series: window start -> bucket, every window kept,
+  /// plus the bucket last recorded into. Event times mostly advance, so
+  /// most records land in it without a map lookup (map nodes never move).
+  struct Series {
+    Windows windows;
+    TimestampMs last_start = 0;
+    Bucket* last = nullptr;
   };
 
+  /// Start of the tumbling window holding t (floor division, so negative
+  /// times fall into the window below).
   TimestampMs WindowStart(TimestampMs t) const {
-    return t - (t % window_size_ms_ + window_size_ms_) % window_size_ms_;
+    TimestampMs r = t % window_size_ms_;
+    return r < 0 ? t - r - window_size_ms_ : t - r;
   }
+
+  /// The windows of (stage, topic), or nullptr when nothing was recorded.
+  const Windows* FindLocked(std::string_view stage, std::string_view topic) const;
 
   int64_t window_size_ms_;
   mutable std::mutex mu_;
-  // (stage \0 topic) -> window start -> bucket
-  std::map<std::string, std::map<TimestampMs, Bucket>> buckets_;
+  // stage -> topic -> windows. The transparent comparators look stages and
+  // topics up by string_view, so recording builds no key string.
+  std::map<std::string, std::map<std::string, Series, std::less<>>, std::less<>> series_;
 };
 
 }  // namespace uberrt::stream

@@ -142,7 +142,7 @@ Result<int32_t> KafkaFederation::NumPartitions(const std::string& topic) const {
 }
 
 Result<ProduceResult> KafkaFederation::Produce(const std::string& topic,
-                                               Message message, AckMode ack) {
+                                               const Message& message, AckMode ack) {
   Result<std::shared_ptr<Broker>> broker = Route(topic);
   if (!broker.ok()) return broker.status();
   Result<ProduceResult> result = broker.value()->Produce(topic, message, ack);
@@ -153,7 +153,7 @@ Result<ProduceResult> KafkaFederation::Produce(const std::string& topic,
   Result<std::shared_ptr<Broker>> rerouted = Route(topic);
   if (!rerouted.ok()) return rerouted.status();
   failover_produces_->Increment();
-  return rerouted.value()->Produce(topic, std::move(message), ack);
+  return rerouted.value()->Produce(topic, message, ack);
 }
 
 Result<ProduceResult> KafkaFederation::ProduceBatch(const std::string& topic,

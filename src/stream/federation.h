@@ -64,7 +64,9 @@ class KafkaFederation : public MessageBus {
   Status CreateTopic(const std::string& topic, TopicConfig config) override;
   bool HasTopic(const std::string& topic) const override;
   Result<int32_t> NumPartitions(const std::string& topic) const override;
-  Result<ProduceResult> Produce(const std::string& topic, Message message,
+  /// Routes the message to the hosting cluster; on cluster failure fails
+  /// the topic over and retries once with the same message.
+  Result<ProduceResult> Produce(const std::string& topic, const Message& message,
                                 AckMode ack = AckMode::kLeader) override;
   /// Routes the batch to the hosting cluster's single-memcpy append; on
   /// cluster failure fails the topic over and retries once, like Produce.

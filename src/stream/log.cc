@@ -6,8 +6,7 @@
 
 namespace uberrt::stream {
 
-int64_t PartitionLog::AppendBatchLocked(const wire::EncodedBatch& batch) {
-  size_t need = batch.data.size();
+std::string& PartitionLog::ArenaForLocked(size_t need) {
   if (!arena_ || arena_->size() + need > arena_->capacity()) {
     // Fixed-capacity arenas: appends never exceed the reserved capacity, so
     // the data pointer is stable for the segment's lifetime and outstanding
@@ -15,28 +14,41 @@ int64_t PartitionLog::AppendBatchLocked(const wire::EncodedBatch& batch) {
     arena_ = std::make_shared<std::string>();
     arena_->reserve(std::max(need, options_.segment_bytes));
   }
+  return *arena_;
+}
+
+int64_t PartitionLog::CommitLocked(size_t begin, uint32_t record_count,
+                                   int64_t max_timestamp) {
   BatchMeta meta;
   meta.arena = arena_;
-  meta.begin = static_cast<uint32_t>(arena_->size());
-  arena_->append(batch.data);  // the one memcpy
+  meta.begin = static_cast<uint32_t>(begin);
   meta.end = static_cast<uint32_t>(arena_->size());
   meta.base_offset = end_offset_;
-  meta.count = batch.record_count;
-  hwm_timestamp_ = std::max(hwm_timestamp_, batch.max_timestamp);
+  meta.count = record_count;
+  hwm_timestamp_ = std::max(hwm_timestamp_, max_timestamp);
   meta.hwm_timestamp = hwm_timestamp_;
   int64_t base = end_offset_;
-  end_offset_ += batch.record_count;
-  bytes_ += static_cast<int64_t>(need);
+  end_offset_ += record_count;
+  bytes_ += static_cast<int64_t>(meta.end - meta.begin);
   batches_.push_back(std::move(meta));
   return base;
 }
 
-int64_t PartitionLog::Append(Message message) {
-  wire::BatchBuilder builder;
-  builder.Add(message);
-  wire::EncodedBatch batch = builder.Finish();
+int64_t PartitionLog::AppendBatchLocked(const wire::EncodedBatch& batch) {
+  std::string& arena = ArenaForLocked(batch.data.size());
+  size_t begin = arena.size();
+  arena.append(batch.data);  // the one memcpy
+  return CommitLocked(begin, batch.record_count, batch.max_timestamp);
+}
+
+int64_t PartitionLog::Append(const Message& message) {
+  const size_t need = wire::kBatchHeaderSize + message.FrameSize();
   std::lock_guard<std::mutex> lock(mu_);
-  return AppendBatchLocked(batch);
+  std::string& arena = ArenaForLocked(need);
+  size_t begin = arena.size();
+  // Exactly `need` bytes, within the reserved capacity: no reallocation.
+  wire::AppendSingleRecordBatch(arena, message);
+  return CommitLocked(begin, 1, message.timestamp);
 }
 
 namespace {

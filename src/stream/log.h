@@ -85,10 +85,12 @@ class PartitionLog {
   PartitionLog(const PartitionLog&) = delete;
   PartitionLog& operator=(const PartitionLog&) = delete;
 
-  /// Appends one message as a single-record batch and assigns the next
-  /// offset, which is returned. (Compatibility path; batched producers
-  /// should pre-encode with wire::BatchBuilder and use AppendBatch.)
-  int64_t Append(Message message);
+  /// Appends one message as a single-record batch and returns its offset.
+  /// The batch is encoded once, straight into the active arena segment
+  /// (wire::AppendSingleRecordBatch: the bytes BatchBuilder would seal), so
+  /// the per-message produce path builds no intermediate batch. Batched
+  /// producers pre-encode with wire::BatchBuilder and use AppendBatch.
+  int64_t Append(const Message& message);
 
   /// Appends a sealed batch with a single memcpy into the active arena
   /// segment. The batch is validated (magic, sizes, CRC, frame structure)
@@ -143,6 +145,12 @@ class PartitionLog {
     int64_t hwm_timestamp = 0;
   };
 
+  /// The active arena segment, first replaced by a fresh one when `need`
+  /// more bytes would not fit its fixed capacity.
+  std::string& ArenaForLocked(size_t need);
+  /// Records the batch just written at [begin, end of the active arena) and
+  /// returns its base offset.
+  int64_t CommitLocked(size_t begin, uint32_t record_count, int64_t max_timestamp);
   int64_t AppendBatchLocked(const wire::EncodedBatch& batch);
 
   mutable std::mutex mu_;

@@ -49,7 +49,9 @@ class MessageBus {
   virtual bool HasTopic(const std::string& topic) const = 0;
   virtual Result<int32_t> NumPartitions(const std::string& topic) const = 0;
 
-  virtual Result<ProduceResult> Produce(const std::string& topic, Message message,
+  /// Appends one message. Taken by reference: the bus encodes it straight
+  /// into the partition log, and a failover retry reuses the same message.
+  virtual Result<ProduceResult> Produce(const std::string& topic, const Message& message,
                                         AckMode ack) = 0;
 
   /// Appends a pre-encoded batch (wire::BatchBuilder) to one partition.

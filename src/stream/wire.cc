@@ -221,6 +221,28 @@ MessageView DecodeFrameTrusted(std::string_view data, size_t* pos) {
   return view;
 }
 
+namespace {
+
+/// Writes the batch header in front of `payload_len` bytes of record frames
+/// at h + kBatchHeaderSize: magic, count, length, CRC-32C, max timestamp.
+void SealBatchHeader(char* h, uint32_t record_count, size_t payload_len,
+                     int64_t max_timestamp) {
+  bytes::PutU32BE(h, kBatchMagic);
+  bytes::PutU32BE(h + 4, record_count);
+  bytes::PutU32BE(h + 8, static_cast<uint32_t>(payload_len));
+  bytes::PutU32BE(h + 12, Crc32(h + kBatchHeaderSize, payload_len));
+  bytes::PutU64BE(h + 16, static_cast<uint64_t>(max_timestamp));
+}
+
+}  // namespace
+
+void AppendSingleRecordBatch(std::string& buf, const Message& m) {
+  size_t start = buf.size();
+  buf.append(kBatchHeaderSize, '\0');  // sealed below, once the frame is in
+  AppendFrame(buf, m);
+  SealBatchHeader(&buf[start], 1, buf.size() - start - kBatchHeaderSize, m.timestamp);
+}
+
 void BatchBuilder::Add(const Message& m) {
   AppendFrame(payload_, m);
   if (count_ == 0 || m.timestamp > max_timestamp_) max_timestamp_ = m.timestamp;
@@ -243,13 +265,8 @@ EncodedBatch BatchBuilder::Finish() {
   EncodedBatch batch;
   batch.record_count = count_;
   batch.max_timestamp = max_timestamp_;
-  char* h = payload_.data();
-  bytes::PutU32BE(h, kBatchMagic);
-  bytes::PutU32BE(h + 4, count_);
-  bytes::PutU32BE(h + 8, static_cast<uint32_t>(payload_.size() - kBatchHeaderSize));
-  bytes::PutU32BE(h + 12,
-                  Crc32(payload_.data() + kBatchHeaderSize, payload_.size() - kBatchHeaderSize));
-  bytes::PutU64BE(h + 16, static_cast<uint64_t>(max_timestamp_));
+  SealBatchHeader(payload_.data(), count_, payload_.size() - kBatchHeaderSize,
+                  max_timestamp_);
   batch.data = std::move(payload_);  // seal without copying the payload
   Reset();
   return batch;

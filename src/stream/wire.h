@@ -101,6 +101,12 @@ struct EncodedBatch {
   size_t bytes() const { return data.size(); }
 };
 
+/// Appends `m` to `buf` as a sealed one-record batch, byte-identical to
+/// BatchBuilder::Add(m) then Finish(), in one pass with no intermediate
+/// buffer: PartitionLog::Append encodes straight into its arena segment.
+/// Appends exactly kBatchHeaderSize + m.FrameSize() bytes.
+void AppendSingleRecordBatch(std::string& buf, const Message& m);
+
 /// Accumulates record frames, then seals them into an EncodedBatch with one
 /// CRC pass. Records are encoded directly after a reserved header slot, so
 /// Finish() patches the header and *moves* the buffer out — sealing a batch

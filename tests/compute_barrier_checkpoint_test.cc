@@ -52,9 +52,9 @@ class ThrottledBus : public stream::MessageBus {
   Result<int32_t> NumPartitions(const std::string& topic) const override {
     return inner_->NumPartitions(topic);
   }
-  Result<stream::ProduceResult> Produce(const std::string& topic, Message message,
+  Result<stream::ProduceResult> Produce(const std::string& topic, const Message& message,
                                         stream::AckMode ack) override {
-    return inner_->Produce(topic, std::move(message), ack);
+    return inner_->Produce(topic, message, ack);
   }
   Result<stream::ProduceResult> ProduceBatch(const std::string& topic, int32_t partition,
                                              const stream::wire::EncodedBatch& batch,

@@ -97,6 +97,65 @@ TEST_F(FlinkSqlTest, WindowedAggregationCompiles) {
   }
 }
 
+TEST_F(FlinkSqlTest, RollupSinkTopicMatchesAcrossPerRecordAndBatchedPaths) {
+  // Six one-minute windows over five restaurants, some orders abandoned.
+  for (int w = 0; w < 6; ++w) {
+    for (int i = 0; i < 40; ++i) {
+      ProduceOrder("r" + std::to_string((i * 7 + w) % 5), 5.0 + i,
+                   i % 6 == 0 ? "abandoned" : "delivered", w * 60000 + i * 1000);
+    }
+  }
+  Result<JobGraph> graph = CompileStreamingSql(
+      "SELECT restaurant, window_start, COUNT(*) AS n, SUM(total) AS sales "
+      "FROM orders WHERE status <> 'abandoned' "
+      "GROUP BY restaurant, TUMBLE(ts, INTERVAL '1' MINUTE)",
+      OrderSchema());
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  const std::vector<Row> collected = RunBounded(graph.value());
+  ASSERT_EQ(collected.size(), 30u);  // 5 restaurants x 6 windows
+
+  constexpr int32_t kSinkPartitions = 3;
+  auto run_to_topic = [&](const std::string& topic, size_t max_batch_records) {
+    TopicConfig config;
+    config.num_partitions = kSinkPartitions;
+    ASSERT_TRUE(broker_->CreateTopic(topic, config).ok());
+    JobGraph with_sink = graph.value();
+    with_sink.SinkToTopic(topic);
+    JobRunnerOptions options;
+    options.max_batch_records = max_batch_records;
+    JobRunner runner(with_sink, broker_.get(), store_.get(), options);
+    ASSERT_TRUE(runner.Start().ok());
+    runner.RequestFinish();
+    ASSERT_TRUE(runner.AwaitTermination(10000).ok());
+  };
+  run_to_topic("rollup_per_record", 1);
+  run_to_topic("rollup_batched", JobRunnerOptions().max_batch_records);
+
+  size_t sunk = 0;
+  for (int32_t p = 0; p < kSinkPartitions; ++p) {
+    Result<stream::FetchedBatch> per_record =
+        broker_->FetchViews("rollup_per_record", p, 0, 1000);
+    Result<stream::FetchedBatch> batched = broker_->FetchViews("rollup_batched", p, 0, 1000);
+    ASSERT_TRUE(per_record.ok());
+    ASSERT_TRUE(batched.ok());
+    ASSERT_EQ(per_record.value().size(), batched.value().size()) << "partition " << p;
+    for (size_t i = 0; i < batched.value().size(); ++i) {
+      const stream::wire::MessageView& a = per_record.value().messages[i];
+      const stream::wire::MessageView& b = batched.value().messages[i];
+      EXPECT_EQ(a.key, b.key);
+      EXPECT_EQ(a.value, b.value);
+      EXPECT_EQ(a.timestamp, b.timestamp);
+      // Round-robin per row: the sink's i-th row of partition p is result
+      // row i * partitions + p, in the order the job emitted them.
+      size_t row_index = i * kSinkPartitions + static_cast<size_t>(p);
+      ASSERT_LT(row_index, collected.size());
+      EXPECT_EQ(DecodeRow(b.value).value(), collected[row_index]);
+    }
+    sunk += batched.value().size();
+  }
+  EXPECT_EQ(sunk, collected.size());
+}
+
 TEST_F(FlinkSqlTest, HavingBecomesPostAggregationFilter) {
   for (int i = 0; i < 6; ++i) ProduceOrder("big", 10.0, "delivered", 100 + i);
   ProduceOrder("small", 10.0, "delivered", 100);

@@ -78,6 +78,46 @@ TEST_F(PlatformTest, SqlJobFlowsIntoOlapAndPresto) {
   EXPECT_EQ(platform_.audit()->TotalCount("producer", "events"), 20);
 }
 
+TEST_F(PlatformTest, ProduceRowUidsAreActorDashSequenceAndUnique) {
+  RowSchema schema({{"a", ValueType::kInt}});
+  ASSERT_TRUE(platform_.ProvisionTopic("events", schema, 3, "app").ok());
+  constexpr int kRows = 300;
+  for (int i = 0; i < kRows; ++i) {
+    const std::string actor = i % 2 == 0 ? "app" : "restaurant_manager";
+    ASSERT_TRUE(platform_
+                    .ProduceRow("events", Row{Value(static_cast<int64_t>(i))},
+                                "k" + std::to_string(i % 7), 1000 + i, actor)
+                    .ok());
+  }
+  std::set<std::string> uids;
+  for (int32_t p = 0; p < 3; ++p) {
+    Result<stream::FetchedBatch> fetched = platform_.streams()->FetchViews("events", p, 0, 1000);
+    ASSERT_TRUE(fetched.ok());
+    for (const stream::wire::MessageView& view : fetched.value().messages) {
+      Row row = DecodeRow(view.value).value();
+      const int64_t i = row[0].AsInt();
+      const std::string actor = i % 2 == 0 ? "app" : "restaurant_manager";
+      std::string_view uid;
+      std::string_view service;
+      ASSERT_TRUE(view.GetHeader(stream::kHeaderUid, &uid));
+      ASSERT_TRUE(view.GetHeader(stream::kHeaderService, &service));
+      // One platform-wide sequence: row i got uid number i.
+      EXPECT_EQ(uid, actor + "-" + std::to_string(i));
+      EXPECT_EQ(service, actor);
+      EXPECT_EQ(view.timestamp, 1000 + i);
+      uids.insert(std::string(uid));
+    }
+  }
+  EXPECT_EQ(uids.size(), static_cast<size_t>(kRows));
+  // Chaperone recorded every uid once at the producer stage.
+  int64_t unique = 0;
+  for (const stream::WindowStats& w : platform_.audit()->GetStats("producer", "events")) {
+    EXPECT_EQ(w.count, w.unique);
+    unique += w.unique;
+  }
+  EXPECT_EQ(unique, kRows);
+}
+
 /// The full Section 5 quartet running against one platform, reproducing
 /// Table 1 from live layer usage.
 class UseCaseTableTest : public ::testing::Test {

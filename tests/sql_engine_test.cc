@@ -423,5 +423,29 @@ TEST(CrossEngineAggregateTest, UnknownAggregateRejectedAlikeByFlinkSqlAndPresto)
       << flink.status().ToString();
 }
 
+TEST(PrestoGroupByTest, DistinctDoubleKeysThatPrintAlikeStayApart) {
+  // 1.0000001 and 1.0000002 print alike at 6 significant digits; the groups
+  // must still be told apart, as the OLAP broker merge does.
+  RowSchema schema({{"k", ValueType::kDouble}, {"v", ValueType::kInt}});
+  InMemoryObjectStore store;
+  ArchiveTable table(&store, "t", schema);
+  ASSERT_TRUE(table
+                  .AppendBatch("all", {{Value(1.0000001), Value(int64_t{1})},
+                                       {Value(1.0000002), Value(int64_t{2})},
+                                       {Value(1.0000002), Value(int64_t{3})}})
+                  .ok());
+  Catalog catalog;
+  catalog.Register("t", std::make_unique<ArchiveConnector>(&table));
+  PrestoEngine engine(&catalog);
+  Result<QueryResult> result =
+      engine.Execute("SELECT k, COUNT(*) AS n FROM t GROUP BY k ORDER BY k ASC");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result.value().rows.size(), 2u);
+  EXPECT_EQ(result.value().rows[0][0].AsDouble(), 1.0000001);
+  EXPECT_EQ(result.value().rows[0][1].AsInt(), 1);
+  EXPECT_EQ(result.value().rows[1][0].AsDouble(), 1.0000002);
+  EXPECT_EQ(result.value().rows[1][1].AsInt(), 2);
+}
+
 }  // namespace
 }  // namespace uberrt::sql

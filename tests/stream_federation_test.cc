@@ -76,6 +76,32 @@ TEST_F(FederationTest, ProduceFailsOverWhenHostClusterDies) {
   EXPECT_EQ(federation_.FetchViews("t", 0, 0, 10).value().size(), 1u);
 }
 
+TEST_F(FederationTest, FailoverRetryStoresTheSameMessage) {
+  TopicConfig config;
+  config.num_partitions = 2;
+  ASSERT_TRUE(federation_.CreateTopic("t", config).ok());
+  std::string host = federation_.HostingCluster("t").value();
+  federation_.GetCluster(host).value()->SetAvailable(false);
+
+  Message m = Msg("rider-3", "payload");
+  m.headers[kHeaderUid] = "rides-17";
+  m.headers[kHeaderService] = "rides";
+  Result<ProduceResult> produced = federation_.Produce("t", m);
+  ASSERT_TRUE(produced.ok()) << produced.status().ToString();
+  EXPECT_NE(federation_.HostingCluster("t").value(), host);
+
+  // The retry on the new host stored the message the first attempt was given.
+  Result<FetchedBatch> fetched = federation_.FetchViews(
+      "t", produced.value().partition, produced.value().offset, 1);
+  ASSERT_TRUE(fetched.ok());
+  ASSERT_EQ(fetched.value().size(), 1u);
+  Message stored = fetched.value().messages[0].ToMessage();
+  EXPECT_EQ(stored.key, m.key);
+  EXPECT_EQ(stored.value, m.value);
+  EXPECT_EQ(stored.timestamp, m.timestamp);
+  EXPECT_EQ(stored.headers, m.headers);
+}
+
 TEST_F(FederationTest, LiveConsumerSurvivesTopicMigration) {
   TopicConfig config;
   config.num_partitions = 2;

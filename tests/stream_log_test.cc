@@ -95,6 +95,58 @@ TEST(WireTest, BadMagicAndTruncationRejected) {
 
 // --- partition log ----------------------------------------------------------
 
+/// The whole single-record batch holding `view`: in a log arena each batch
+/// header sits directly in front of the batch's first frame.
+std::string_view SingleRecordBatchBytes(const wire::MessageView& view) {
+  return std::string_view(view.raw_frame.data() - wire::kBatchHeaderSize,
+                          wire::kBatchHeaderSize + view.raw_frame.size());
+}
+
+TEST(StreamLogTest, AppendWritesTheBytesBatchBuilderSeals) {
+  Message with_headers = Msg("rider-7", "trip payload", 1234);
+  with_headers.headers[kHeaderUid] = "restaurant_manager-41";
+  with_headers.headers[kHeaderService] = "restaurant_manager";
+  with_headers.headers[kHeaderTier] = "1";
+  Message empty_key = Msg("", "value only", 99);
+  Message empty;  // no key, value, headers or timestamp
+  PartitionLog log;
+  int64_t bytes = 0;
+  for (const Message& m : {with_headers, empty_key, empty}) {
+    const std::string sealed = Batch({m}).data;
+    std::string one_pass;
+    wire::AppendSingleRecordBatch(one_pass, m);
+    EXPECT_EQ(one_pass, sealed);
+
+    int64_t offset = log.Append(m);
+    Result<FetchedBatch> fetched = log.ReadViews(offset, 1);
+    ASSERT_TRUE(fetched.ok());
+    ASSERT_EQ(fetched.value().size(), 1u);
+    EXPECT_EQ(SingleRecordBatchBytes(fetched.value().messages[0]), sealed);
+    bytes += static_cast<int64_t>(sealed.size());
+    EXPECT_EQ(log.Bytes(), bytes);
+  }
+  EXPECT_EQ(log.EndOffset(), 3);
+}
+
+TEST(StreamLogTest, BrokerStampedProduceMatchesBatchBuilder) {
+  SimulatedClock clock(5000);
+  Broker broker("b", BrokerOptions(), &clock);
+  ASSERT_TRUE(broker.CreateTopic("t", TopicConfig()).ok());
+  Message m = Msg("k", "v", /*ts=*/0);
+  m.headers[kHeaderUid] = "u-1";
+  Result<ProduceResult> produced = broker.Produce("t", m);
+  ASSERT_TRUE(produced.ok());
+  EXPECT_EQ(m.timestamp, 0);  // the caller's message is never stamped
+
+  Message stamped = m;
+  stamped.timestamp = 5000;
+  Result<FetchedBatch> fetched = broker.FetchViews("t", 0, produced.value().offset, 1);
+  ASSERT_TRUE(fetched.ok());
+  ASSERT_EQ(fetched.value().size(), 1u);
+  EXPECT_EQ(fetched.value().messages[0].timestamp, 5000);
+  EXPECT_EQ(SingleRecordBatchBytes(fetched.value().messages[0]), Batch({stamped}).data);
+}
+
 TEST(StreamLogTest, AppendBatchAssignsDenseOffsetsAcrossBatches) {
   PartitionLog log;
   Result<int64_t> first = log.AppendBatch(Batch({Msg("", "a"), Msg("", "b")}));

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <tuple>
+
+#include "common/rng.h"
 #include "stream/broker.h"
 #include "stream/chaperone.h"
 #include "stream/ureplicator.h"
@@ -186,6 +191,143 @@ TEST(ChaperoneTest, CleanPipelineRaisesNoAlerts) {
   EXPECT_EQ(audit.TotalCount("producer", "t"), 50);
   // Windowing: events spread across 5 windows of 1000ms.
   EXPECT_EQ(audit.GetStats("producer", "t").size(), 5u);
+}
+
+/// Uids whose UidSet::Hash agrees in the low `bits` bits, so they share a
+/// home slot in every index of up to 2^bits slots.
+std::vector<std::string> SameSlotUids(size_t count, int bits) {
+  const uint64_t mask = (uint64_t{1} << bits) - 1;
+  const uint64_t target = UidSet::Hash("collide-0") & mask;
+  std::vector<std::string> out;
+  for (int64_t n = 0; out.size() < count; ++n) {
+    std::string uid = "collide-" + std::to_string(n);
+    if ((UidSet::Hash(uid) & mask) == target) out.push_back(std::move(uid));
+  }
+  return out;
+}
+
+TEST(ChaperoneTest, UidSetResolvesSameSlotUidsByTheirBytes) {
+  const std::vector<std::string> colliding = SameSlotUids(48, /*bits=*/12);
+  UidSet uids;
+  std::set<std::string> reference;
+  for (int round = 0; round < 3; ++round) {
+    for (const std::string& uid : colliding) {
+      EXPECT_EQ(uids.Insert(uid), reference.insert(uid).second) << uid;
+    }
+  }
+  EXPECT_EQ(uids.size(), 48);
+  // A prefix or extension of a stored uid is a different uid.
+  EXPECT_TRUE(uids.Insert(colliding[0].substr(0, colliding[0].size() - 1)));
+  EXPECT_TRUE(uids.Insert(colliding[0] + "x"));
+  EXPECT_FALSE(uids.Insert(colliding[0]));
+  EXPECT_EQ(uids.size(), 50);
+
+  // Through many index doublings, with duplicates and varied lengths.
+  UidSet grown;
+  std::set<std::string> grown_reference;
+  Rng rng(7);
+  for (int i = 0; i < 40000; ++i) {
+    std::string uid = std::string(rng.Uniform(0, 30), 'x') + std::to_string(rng.Uniform(0, 20000));
+    ASSERT_EQ(grown.Insert(uid), grown_reference.insert(uid).second) << uid;
+  }
+  EXPECT_EQ(grown.size(), static_cast<int64_t>(grown_reference.size()));
+}
+
+TEST(ChaperoneTest, MatchesSetReferenceOnRandomizedUids) {
+  // Reference model: the std::set<std::string> buckets Chaperone used to keep.
+  struct RefBucket {
+    int64_t count = 0;
+    std::set<std::string> uids;
+  };
+  using Key = std::tuple<std::string, std::string, TimestampMs>;
+  std::map<Key, RefBucket> reference;
+  const int64_t window = 1000;
+  auto window_start = [&](TimestampMs t) { return t - (t % window + window) % window; };
+
+  const std::vector<std::string> stages = {"producer", "regional", "aggregate"};
+  const std::vector<std::string> topics = {"t", "trips", "eats_orders"};
+  const std::vector<std::string> colliding = SameSlotUids(40, /*bits=*/12);
+  Chaperone audit(window);
+  Rng rng(20261020);
+  for (int i = 0; i < 30000; ++i) {
+    const std::string& stage = stages[rng.Uniform(0, 2)];
+    const std::string& topic = topics[rng.Uniform(0, 2)];
+    // Mostly advancing event times, some late and some negative.
+    TimestampMs ts = i * 3 - (rng.Chance(0.1) ? rng.Uniform(0, 20000) : 0);
+    std::string uid;
+    const int64_t kind = rng.Uniform(0, 9);
+    if (kind == 0) {
+      uid = "";  // counted only
+    } else if (kind == 1) {
+      uid = colliding[rng.Uniform(0, 39)];
+      ts = 7000;  // all in one window
+    } else if (kind == 2) {
+      uid = std::string(rng.Uniform(1, 90), 'u') + std::to_string(rng.Uniform(0, 50));
+    } else {
+      uid = "restaurant_manager-" + std::to_string(rng.Uniform(0, i / 2));  // duplicates
+    }
+    audit.RecordRaw(stage, topic, ts, uid);
+    RefBucket& bucket = reference[{stage, topic, window_start(ts)}];
+    ++bucket.count;
+    if (!uid.empty()) bucket.uids.insert(uid);
+  }
+
+  for (const std::string& stage : stages) {
+    for (const std::string& topic : topics) {
+      std::vector<WindowStats> expected;
+      int64_t total = 0;
+      for (const auto& [key, bucket] : reference) {
+        if (std::get<0>(key) != stage || std::get<1>(key) != topic) continue;
+        expected.push_back({std::get<2>(key), bucket.count,
+                            static_cast<int64_t>(bucket.uids.size())});
+        total += bucket.count;
+      }
+      std::vector<WindowStats> stats = audit.GetStats(stage, topic);
+      ASSERT_EQ(stats.size(), expected.size()) << stage << "/" << topic;
+      for (size_t w = 0; w < stats.size(); ++w) {
+        EXPECT_EQ(stats[w].window_start, expected[w].window_start);
+        EXPECT_EQ(stats[w].count, expected[w].count);
+        EXPECT_EQ(stats[w].unique, expected[w].unique);
+      }
+      EXPECT_EQ(audit.TotalCount(stage, topic), total);
+    }
+  }
+
+  // Compare: every ordered stage pair, alert for alert.
+  for (const std::string& topic : topics) {
+    for (const std::string& up : stages) {
+      for (const std::string& down : stages) {
+        std::set<TimestampMs> windows;
+        for (const auto& [key, bucket] : reference) {
+          if (std::get<1>(key) == topic && (std::get<0>(key) == up || std::get<0>(key) == down)) {
+            windows.insert(std::get<2>(key));
+          }
+        }
+        std::vector<AuditAlert> expected;
+        for (TimestampMs w : windows) {
+          auto ub = reference.find({up, topic, w});
+          auto db = reference.find({down, topic, w});
+          int64_t up_unique =
+              ub == reference.end() ? 0 : static_cast<int64_t>(ub->second.uids.size());
+          int64_t down_count = db == reference.end() ? 0 : db->second.count;
+          int64_t down_unique =
+              db == reference.end() ? 0 : static_cast<int64_t>(db->second.uids.size());
+          if (down_unique < up_unique) {
+            expected.push_back({AuditAlert::Kind::kLoss, topic, w, up_unique, down_unique});
+          }
+          if (down_count > down_unique) {
+            expected.push_back(
+                {AuditAlert::Kind::kDuplication, topic, w, down_unique, down_count});
+          }
+        }
+        std::vector<AuditAlert> alerts = audit.Compare(up, down, topic);
+        ASSERT_EQ(alerts.size(), expected.size()) << up << "->" << down << " " << topic;
+        for (size_t a = 0; a < alerts.size(); ++a) {
+          EXPECT_EQ(alerts[a].ToString(), expected[a].ToString());
+        }
+      }
+    }
+  }
 }
 
 TEST(ChaperoneTest, EndToEndThroughReplication) {
