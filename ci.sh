@@ -12,7 +12,9 @@
 #      the bounds-checked common/bytes.h readers that decode possibly corrupt
 #      blobs (rows, row batches, checkpoints, window state, segments), and
 #      for the audited per-message produce path (ProduceRow's in-place uid,
-#      the single-record append into the log arena, Chaperone's uid sets).
+#      the single-record append into the log arena, Chaperone's uid sets),
+#      and for the bounded-state soak (checkpoint retention, Chaperone window
+#      finalization and the compact log index under a crash and restore).
 #   3. perf smoke: bench_c5's filtered group-by in the Release tier-1 build
 #      must show the vectorized engine no slower than the scalar oracle
 #      (UBERRT_PERF_GATE); the honest ratio + core count land in BENCH_c5.json.
@@ -37,7 +39,7 @@ ctest --test-dir build --output-on-failure -j
 echo "== pipebench selftest =="
 python3 pipebench/run.py --selftest
 
-CONCURRENCY_SUITES="common_executor_test|stream_log_test|stream_broker_concurrency_test|olap_cluster_concurrency_test|chaos_soak_test|olap_vectorized_parity_test|olap_morsel_parity_test|olap_upsert_recovery_test|olap_tiering_test|allactive_drill_test|compute_batch_parity_test|stream_federation_test|stream_dlq_proxy_test|olap_segment_test|olap_table_test|compute_barrier_checkpoint_test|compute_job_runner_test|compute_management_test|compute_window_operator_test|compute_checkpoint_test|storage_metadata_test|sql_engine_test|stream_replication_test|core_platform_test|stream_broker_test"
+CONCURRENCY_SUITES="common_executor_test|stream_log_test|stream_broker_concurrency_test|olap_cluster_concurrency_test|chaos_soak_test|olap_vectorized_parity_test|olap_morsel_parity_test|olap_upsert_recovery_test|olap_tiering_test|allactive_drill_test|compute_batch_parity_test|stream_federation_test|stream_dlq_proxy_test|olap_segment_test|olap_table_test|compute_barrier_checkpoint_test|compute_job_runner_test|compute_management_test|compute_window_operator_test|compute_checkpoint_test|storage_metadata_test|sql_engine_test|stream_replication_test|core_platform_test|stream_broker_test|bounded_state_soak_test"
 for SAN in address thread; do
   echo "== sanitizer gate: ${SAN} =="
   cmake -B "build-${SAN}" -S . -DUBERRT_SANITIZE="${SAN}"
@@ -49,7 +51,7 @@ for SAN in address thread; do
     stream_dlq_proxy_test olap_segment_test olap_table_test \
     compute_barrier_checkpoint_test compute_job_runner_test compute_management_test \
     compute_window_operator_test compute_checkpoint_test storage_metadata_test sql_engine_test \
-    stream_replication_test core_platform_test stream_broker_test
+    stream_replication_test core_platform_test stream_broker_test bounded_state_soak_test
   ctest --test-dir "build-${SAN}" --output-on-failure -R "^(${CONCURRENCY_SUITES})$"
 done
 

@@ -73,7 +73,15 @@ std::string CheckpointStore::Key(int64_t sequence) const {
 
 Status CheckpointStore::Save(const CheckpointData& data) {
   UBERRT_RETURN_IF_ERROR(store_->Put(Key(data.sequence), data.Encode()));
-  return store_->Put(prefix_ + "/" + job_ + "/LATEST", std::to_string(data.sequence));
+  UBERRT_RETURN_IF_ERROR(
+      store_->Put(prefix_ + "/" + job_ + "/LATEST", std::to_string(data.sequence)));
+  // Retention: LATEST now names this checkpoint, so every other blob of the
+  // job is subsumed. A failed delete leaves its blob for the next save.
+  const std::string latest = Key(data.sequence);
+  for (const std::string& key : store_->List(prefix_ + "/" + job_ + "/chk-")) {
+    if (key != latest) store_->Delete(key).ok();
+  }
+  return Status::Ok();
 }
 
 Result<CheckpointData> CheckpointStore::Load(int64_t sequence) const {

@@ -27,7 +27,10 @@ struct CheckpointData {
 };
 
 /// Persists/loads checkpoints under "<prefix>/<job>/chk-<seq>", tracking the
-/// latest sequence in "<prefix>/<job>/LATEST".
+/// latest sequence in "<prefix>/<job>/LATEST". Only the checkpoint LATEST
+/// names is retained (Flink's default of one): once a save has moved LATEST,
+/// it deletes the job's other chk-* blobs. A delete that fails never fails
+/// the save; the next save collects the leftover blob.
 class CheckpointStore {
  public:
   CheckpointStore(storage::ObjectStore* store, std::string prefix, std::string job)

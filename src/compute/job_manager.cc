@@ -97,7 +97,7 @@ Status JobManager::CancelJob(const std::string& id) {
   ManagedJob* job = it->second.get();
   if (job->runner && job->runner->IsRunning()) {
     if (job->runner_options.periodic_checkpoints) {
-      job->runner->TriggerCheckpoint().ok();  // best-effort graceful snapshot
+      TriggerCheckpointCounted(job->runner.get());  // best-effort graceful snapshot
     }
     job->runner->Cancel();
   }
@@ -135,6 +135,13 @@ JobInfo JobManager::InfoFor(const ManagedJob& job) const {
     if (lag.ok()) info.lag = lag.value();
   }
   return info;
+}
+
+void JobManager::TriggerCheckpointCounted(JobRunner* runner) {
+  // TriggerCheckpoint may also save the checkpoint already in flight.
+  const int64_t before = runner->CheckpointsCompleted();
+  runner->TriggerCheckpoint().ok();
+  checkpoints_completed_->Increment(runner->CheckpointsCompleted() - before);
 }
 
 Status JobManager::RestartFromCheckpoint(ManagedJob* job, int32_t new_parallelism) {
@@ -175,7 +182,8 @@ Status JobManager::Tick() {
     }
     // The checkpoint the pipeline completed since the last sweep is saved
     // here, so object-store I/O and its retry backoff stay off the executor.
-    job->runner->PersistCompletedCheckpoint().ok();
+    Result<int64_t> saved = job->runner->PersistCompletedCheckpoint();
+    if (saved.ok() && saved.value() > 0) checkpoints_completed_->Increment();
     // Injected crash: cancel the runner exactly as a process kill would;
     // the crash-detection branch below restarts it in this same sweep.
     if (faults_ != nullptr && job->runner->IsRunning() &&
@@ -203,7 +211,7 @@ Status JobManager::Tick() {
     Result<int64_t> lag = job->runner->SourceLag();
     if (lag.ok() && lag.value() > options_.lag_scale_up_threshold &&
         job->parallelism < options_.max_parallelism) {
-      job->runner->TriggerCheckpoint().ok();
+      TriggerCheckpointCounted(job->runner.get());
       job->runner->Cancel();
       ++job->rescales;
       int32_t new_parallelism = std::min(options_.max_parallelism, job->parallelism * 2);

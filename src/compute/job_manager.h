@@ -86,7 +86,9 @@ class JobManager {
   /// it from the latest checkpoint.
   void SetFaultInjector(common::FaultInjector* faults) { faults_ = faults; }
 
-  /// Registry holding the manager's retries.checkpoint.* counters.
+  /// Registry holding the manager's retries.checkpoint.* counters and
+  /// checkpoints.completed, the checkpoints its jobs have saved (the store
+  /// retains only the latest per job, so its blobs do not count them).
   MetricsRegistry* metrics() { return &metrics_; }
 
   /// Direct access for assertions in tests.
@@ -105,6 +107,9 @@ class JobManager {
   };
 
   Status RestartFromCheckpoint(ManagedJob* job, int32_t new_parallelism);
+  /// Best-effort TriggerCheckpoint that adds every checkpoint it saved to
+  /// checkpoints.completed.
+  void TriggerCheckpointCounted(JobRunner* runner);
   JobInfo InfoFor(const ManagedJob& job) const;
 
   stream::MessageBus* bus_;
@@ -112,6 +117,7 @@ class JobManager {
   JobManagerOptions options_;
   common::FaultInjector* faults_ = nullptr;
   MetricsRegistry metrics_;
+  Counter* checkpoints_completed_ = metrics_.GetCounter("checkpoints.completed");
   /// Shared by every managed runner's checkpoint Save/Load (see Submit).
   common::RetryPolicy checkpoint_retry_;
   mutable std::mutex mu_;

@@ -388,12 +388,9 @@ Status JobRunner::Start() {
   return Status::Ok();
 }
 
-Status JobRunner::RestoreFromCheckpoint(int64_t sequence) {
+Status JobRunner::RestoreFromCheckpoint() {
   if (running_.load()) return Status::FailedPrecondition("job already started");
-  auto load = [&] {
-    return sequence < 0 ? checkpoint_store_.LoadLatest()
-                        : checkpoint_store_.Load(sequence);
-  };
+  auto load = [&] { return checkpoint_store_.LoadLatest(); };
   Result<CheckpointData> data =
       options_.checkpoint_retry != nullptr
           ? options_.checkpoint_retry->RunResult<CheckpointData>(load)
@@ -1002,6 +999,7 @@ Result<int64_t> JobRunner::PersistCompletedCheckpoint() {
   }
   checkpoint_cv_.notify_all();
   if (!saved.ok()) return saved;
+  checkpoints_completed_.fetch_add(1);
   return data.sequence;
 }
 

@@ -102,9 +102,9 @@ class JobRunner {
   /// Validates the graph and schedules the source tasks.
   Status Start();
 
-  /// Loads a checkpoint (latest when `sequence` < 0) into the un-started
-  /// job: source offsets and operator state. Must precede Start().
-  Status RestoreFromCheckpoint(int64_t sequence = -1);
+  /// Loads the latest checkpoint (the one the store retains) into the
+  /// un-started job: source offsets and operator state. Must precede Start().
+  Status RestoreFromCheckpoint();
 
   /// Takes a checkpoint and persists it: settles a checkpoint already in
   /// flight, starts a new one, waits until the sink has aligned on its
@@ -151,6 +151,8 @@ class JobRunner {
   int64_t RecordsOut() const { return records_out_.load(); }
   /// Records read from the sources.
   int64_t RecordsIn() const { return records_in_.load(); }
+  /// Checkpoints this runner has saved (LATEST moved to each).
+  int64_t CheckpointsCompleted() const { return checkpoints_completed_.load(); }
   /// Live keyed-state footprint across all operator instances.
   int64_t StateBytes() const;
   /// Sum of per-instance peak state footprints (upper bound on peak total).
@@ -247,6 +249,7 @@ class JobRunner {
   std::atomic<int64_t> in_flight_{0};
   std::atomic<int64_t> records_in_{0};
   std::atomic<int64_t> records_out_{0};
+  std::atomic<int64_t> checkpoints_completed_{0};
   std::atomic<int64_t> decode_errors_{0};
   std::atomic<int64_t> alignment_held_{0};
 

@@ -221,6 +221,16 @@ Status RealtimePlatform::PumpUntilIngested(int32_t max_cycles) {
   return Status::Timeout("olap ingestion did not catch up");
 }
 
+int64_t RealtimePlatform::ResidentBytes() {
+  int64_t total = chaperone_.ResidentBytes() + store_.TotalBytes();
+  for (const std::string& name : federation_.ListClusters()) {
+    Result<std::shared_ptr<stream::Broker>> cluster = federation_.GetCluster(name);
+    if (cluster.ok()) total += cluster.value()->Footprint().resident_bytes;
+  }
+  resident_bytes_->Set(total);
+  return total;
+}
+
 std::set<std::string> RealtimePlatform::LayersUsed(const std::string& actor) const {
   uint32_t bits = 0;
   {

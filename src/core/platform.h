@@ -137,6 +137,15 @@ class RealtimePlatform {
   /// Renders the Table 1 matrix for the given actors (columns) in order.
   std::string RenderComponentTable(const std::vector<std::string>& actors) const;
 
+  // --- Footprint ----------------------------------------------------------
+
+  /// Bytes held by the platform's long-lived state: every cluster's
+  /// partition logs (arenas and batch indexes), Chaperone's windows and the
+  /// object store's blobs. Refreshes the platform.resident_bytes gauge.
+  int64_t ResidentBytes();
+  /// Registry holding platform.resident_bytes.
+  MetricsRegistry* metrics() { return &metrics_; }
+
  private:
   void MarkUsage(std::string_view actor, const char* layer);
 
@@ -160,6 +169,8 @@ class RealtimePlatform {
   /// Actor -> bitmask of the layers it used (bit i = i-th Table 1 row).
   std::map<std::string, uint32_t, std::less<>> usage_;
   std::atomic<int64_t> next_uid_{0};
+  MetricsRegistry metrics_;
+  Gauge* resident_bytes_ = metrics_.GetGauge("platform.resident_bytes");
 };
 
 }  // namespace uberrt::core

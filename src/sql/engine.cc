@@ -1,7 +1,9 @@
 #include "sql/engine.h"
 
 #include <algorithm>
+#include <cstring>
 
+#include "common/bytes.h"
 #include "sql/parser.h"
 
 namespace uberrt::sql {
@@ -204,14 +206,26 @@ Result<PrestoEngine::Relation> PrestoEngine::ExecuteJoin(const TableRef& ref,
     }
   }
 
+  // Buckets rows by the equality `=` applies: a string only equals the same
+  // string, every other value compares by its numeric view. So a STRING
+  // keys as its bytes and anything else as the bits of ToNumeric(), with
+  // -0.0 folded into 0.0: INT 1 meets DOUBLE 1.0, and -0.0 meets 0.0.
   auto key_of = [](const std::vector<const Expr*>& exprs, const Row& row,
                    const RowBinding& binding) -> Result<std::string> {
     std::string key;
     for (const Expr* e : exprs) {
       Result<Value> v = EvalExpr(*e, row, binding);
       if (!v.ok()) return v.status();
-      key.append(v.value().ToString());
-      key.push_back('\0');
+      if (v.value().type() == ValueType::kString) {
+        key.push_back('s');
+        bytes::AppendString(&key, v.value().AsString());
+      } else {
+        const double number = v.value().ToNumeric() + 0.0;  // -0.0 + 0.0 == +0.0
+        uint64_t bits;
+        std::memcpy(&bits, &number, sizeof(bits));
+        key.push_back('n');
+        bytes::AppendU64(&key, bits);
+      }
     }
     return key;
   };

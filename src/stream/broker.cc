@@ -401,6 +401,24 @@ int64_t Broker::ApplyRetention() {
   return dropped;
 }
 
+LogFootprint Broker::Footprint() const {
+  std::vector<std::shared_ptr<Topic>> topics;
+  {
+    std::lock_guard<std::mutex> lock(topics_mu_);
+    for (const auto& [name, topic] : topics_) topics.push_back(topic);
+  }
+  LogFootprint out;
+  for (const std::shared_ptr<Topic>& topic : topics) {
+    for (const auto& partition : topic->partitions) {
+      const LogFootprint log = partition->Footprint();
+      out.resident_bytes += log.resident_bytes;
+      out.index_bytes += log.index_bytes;
+      out.batches += log.batches;
+    }
+  }
+  return out;
+}
+
 void Broker::SetAvailable(bool available) {
   available_.store(available, std::memory_order_release);
 }

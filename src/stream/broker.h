@@ -141,6 +141,9 @@ class Broker : public MessageBus {
   /// Applies every topic's retention policy; returns total dropped messages.
   int64_t ApplyRetention();
 
+  /// Memory held by the cluster's partition logs, summed over every topic.
+  LogFootprint Footprint() const;
+
   /// Simulates a whole-cluster outage (tolerated by federation, Section 4.1.1).
   void SetAvailable(bool available);
   bool available() const;

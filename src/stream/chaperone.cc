@@ -1,7 +1,6 @@
 #include "stream/chaperone.h"
 
 #include <cstring>
-#include <set>
 #include <sstream>
 
 #include "common/bytes.h"
@@ -71,6 +70,10 @@ bool UidSet::Insert(std::string_view uid) {
   }
 }
 
+int64_t UidSet::ResidentBytes() const {
+  return static_cast<int64_t>(arena_.capacity() + slots_.capacity() * sizeof(uint64_t));
+}
+
 void UidSet::ReserveLike(const UidSet& like) {
   if (size_ != 0 || like.size_ == 0) return;
   slots_.assign(like.slots_.size(), 0);
@@ -109,42 +112,88 @@ void Chaperone::RecordRaw(std::string_view stage, std::string_view topic,
   const TimestampMs start = WindowStart(event_time);
   std::lock_guard<std::mutex> lock(mu_);
   Series& series = FindOrAdd(FindOrAdd(series_, stage), topic);
+  ++series.total;
   if (series.last == nullptr || series.last_start != start) {
+    if (start < series.finalized_before) {
+      ++series.late;
+      return;
+    }
     Bucket* previous = series.last;
     series.last = &series.windows[start];
     series.last_start = start;
     if (previous != nullptr) series.last->uids.ReserveLike(previous->uids);
+    FinalizeBeforeLocked(&series, start);
   }
   ++series.last->count;
   if (!uid.empty()) series.last->uids.Insert(uid);
 }
 
-const Chaperone::Windows* Chaperone::FindLocked(std::string_view stage,
-                                                std::string_view topic) const {
+void Chaperone::FinalizeBeforeLocked(Series* series, TimestampMs start) const {
+  // w is finalized once w + window + horizon <= start.
+  if (start < INT64_MIN + kFinalizeHorizonMs + window_size_ms_) return;
+  const TimestampMs before = start - kFinalizeHorizonMs - window_size_ms_ + 1;
+  if (before <= series->finalized_before) return;
+  series->finalized_before = before;
+  Windows& windows = series->windows;
+  while (!windows.empty() && windows.begin()->first < before) {
+    auto it = windows.begin();
+    series->finalized.push_back({it->first, it->second.count, it->second.uids.size()});
+    windows.erase(it);  // frees the window's uid set
+  }
+}
+
+const Chaperone::Series* Chaperone::FindLocked(std::string_view stage,
+                                               std::string_view topic) const {
   auto sit = series_.find(stage);
   if (sit == series_.end()) return nullptr;
   auto tit = sit->second.find(topic);
-  return tit == sit->second.end() ? nullptr : &tit->second.windows;
+  return tit == sit->second.end() ? nullptr : &tit->second;
 }
 
-std::vector<WindowStats> Chaperone::GetStats(std::string_view stage,
-                                             std::string_view topic) const {
-  std::lock_guard<std::mutex> lock(mu_);
+std::vector<WindowStats> Chaperone::StatsLocked(std::string_view stage,
+                                                std::string_view topic) const {
   std::vector<WindowStats> out;
-  const Windows* windows = FindLocked(stage, topic);
-  if (windows == nullptr) return out;
-  for (const auto& [window, bucket] : *windows) {
+  const Series* series = FindLocked(stage, topic);
+  if (series == nullptr) return out;
+  out.reserve(series->finalized.size() + series->windows.size());
+  out.assign(series->finalized.begin(), series->finalized.end());
+  for (const auto& [window, bucket] : series->windows) {
     out.push_back({window, bucket.count, bucket.uids.size()});
   }
   return out;
 }
 
+std::vector<WindowStats> Chaperone::GetStats(std::string_view stage,
+                                             std::string_view topic) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return StatsLocked(stage, topic);
+}
+
 int64_t Chaperone::TotalCount(std::string_view stage, std::string_view topic) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const Windows* windows = FindLocked(stage, topic);
-  if (windows == nullptr) return 0;
+  const Series* series = FindLocked(stage, topic);
+  return series == nullptr ? 0 : series->total;
+}
+
+int64_t Chaperone::LateCount(std::string_view stage, std::string_view topic) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const Series* series = FindLocked(stage, topic);
+  return series == nullptr ? 0 : series->late;
+}
+
+int64_t Chaperone::ResidentBytes() const {
+  // A std::map node: the red-black links and color ahead of the value.
+  constexpr int64_t kMapNode = 32 + sizeof(std::pair<const TimestampMs, Bucket>);
+  std::lock_guard<std::mutex> lock(mu_);
   int64_t total = 0;
-  for (const auto& [window, bucket] : *windows) total += bucket.count;
+  for (const auto& [stage, topics] : series_) {
+    for (const auto& [topic, series] : topics) {
+      total += static_cast<int64_t>(sizeof(Series) + series.finalized.size() * sizeof(WindowStats));
+      for (const auto& [window, bucket] : series.windows) {
+        total += kMapNode + bucket.uids.ResidentBytes();
+      }
+    }
+  }
   return total;
 }
 
@@ -152,24 +201,22 @@ std::vector<AuditAlert> Chaperone::Compare(std::string_view upstream_stage,
                                            std::string_view downstream_stage,
                                            std::string_view topic) const {
   std::lock_guard<std::mutex> lock(mu_);
+  const std::vector<WindowStats> up = StatsLocked(upstream_stage, topic);
+  const std::vector<WindowStats> down = StatsLocked(downstream_stage, topic);
+  // Merge the two start-ordered window lists; a window one side lacks
+  // counts as empty there.
   std::vector<AuditAlert> alerts;
-  static const Windows kEmpty;
-  const Windows* up_found = FindLocked(upstream_stage, topic);
-  const Windows* down_found = FindLocked(downstream_stage, topic);
-  const Windows& up = up_found == nullptr ? kEmpty : *up_found;
-  const Windows& down = down_found == nullptr ? kEmpty : *down_found;
-
-  // Union of windows.
-  std::set<TimestampMs> windows;
-  for (const auto& [w, b] : up) windows.insert(w);
-  for (const auto& [w, b] : down) windows.insert(w);
-
-  for (TimestampMs w : windows) {
-    auto ub = up.find(w);
-    auto db = down.find(w);
-    int64_t up_unique = ub == up.end() ? 0 : ub->second.uids.size();
-    int64_t down_count = db == down.end() ? 0 : db->second.count;
-    int64_t down_unique = db == down.end() ? 0 : db->second.uids.size();
+  size_t u = 0, d = 0;
+  while (u < up.size() || d < down.size()) {
+    const TimestampMs w =
+        d == down.size() || (u < up.size() && up[u].window_start < down[d].window_start)
+            ? up[u].window_start
+            : down[d].window_start;
+    const bool has_up = u < up.size() && up[u].window_start == w;
+    const bool has_down = d < down.size() && down[d].window_start == w;
+    const int64_t up_unique = has_up ? up[u].unique : 0;
+    const int64_t down_count = has_down ? down[d].count : 0;
+    const int64_t down_unique = has_down ? down[d].unique : 0;
     if (down_unique < up_unique) {
       alerts.push_back({AuditAlert::Kind::kLoss, std::string(topic), w, up_unique,
                         down_unique});
@@ -178,6 +225,8 @@ std::vector<AuditAlert> Chaperone::Compare(std::string_view upstream_stage,
       alerts.push_back({AuditAlert::Kind::kDuplication, std::string(topic), w,
                         down_unique, down_count});
     }
+    u += has_up;
+    d += has_down;
   }
   return alerts;
 }

@@ -2,6 +2,7 @@
 #define UBERRT_STREAM_CHAPERONE_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -38,6 +39,8 @@ class UidSet {
   /// like the one before it grows neither its index nor its arena.
   void ReserveLike(const UidSet& like);
   int64_t size() const { return size_; }
+  /// Heap bytes the set holds (arena and index capacity).
+  int64_t ResidentBytes() const;
 
   /// The hash the index probes by: one multiply per 8 bytes of uid, then
   /// murmur3's 64-bit finalizer, so the low bits that pick the home slot and
@@ -72,8 +75,20 @@ struct AuditAlert {
 /// the message's application timestamp, counts total and unique messages
 /// per (stage, topic, window), and raises alerts where adjacent stages
 /// disagree — detecting both loss and duplication.
+///
+/// Memory stays bounded however long a series runs: once a series records
+/// into a window that starts kFinalizeHorizonMs or more after window w
+/// ends, w is finalized — its count and unique count freeze into a 24-byte
+/// WindowStats and its uid set is freed. Finalized windows stay in GetStats
+/// and Compare unchanged. A record for a window at or behind the newest
+/// finalized one (finalized, or a gap never recorded into) is late: it
+/// counts in TotalCount and LateCount and changes no window.
 class Chaperone {
  public:
+  /// How far event time must move past a window's end before the window is
+  /// finalized: 10 minutes, 600 one-second windows.
+  static constexpr int64_t kFinalizeHorizonMs = 10 * 60 * 1000;
+
   explicit Chaperone(int64_t window_size_ms = 1000) : window_size_ms_(window_size_ms) {}
 
   /// Reports one message observation at a stage. Uses the message's `uid`
@@ -87,8 +102,16 @@ class Chaperone {
   /// Per-window statistics for a stage/topic, ordered by window start.
   std::vector<WindowStats> GetStats(std::string_view stage, std::string_view topic) const;
 
-  /// Total messages observed at a stage/topic.
+  /// Total messages observed at a stage/topic, late ones included.
   int64_t TotalCount(std::string_view stage, std::string_view topic) const;
+
+  /// Messages at a stage/topic that arrived after their window was
+  /// finalized (see the class comment); no window counts them.
+  int64_t LateCount(std::string_view stage, std::string_view topic) const;
+
+  /// Heap bytes held by every series: live windows with their uid sets,
+  /// and the finalized windows' stats.
+  int64_t ResidentBytes() const;
 
   /// Compares an upstream stage against a downstream stage for one topic and
   /// returns an alert per window where they disagree:
@@ -104,11 +127,18 @@ class Chaperone {
     UidSet uids;
   };
   using Windows = std::map<TimestampMs, Bucket>;
-  /// One (stage, topic) series: window start -> bucket, every window kept,
-  /// plus the bucket last recorded into. Event times mostly advance, so
-  /// most records land in it without a map lookup (map nodes never move).
+  /// One (stage, topic) series: the finalized windows in start order, then
+  /// the live ones (window start -> bucket, all starting at or after
+  /// `finalized_before`), plus the bucket last recorded into. Event times
+  /// mostly advance, so most records land in it without a map lookup (map
+  /// nodes never move).
   struct Series {
+    std::deque<WindowStats> finalized;
     Windows windows;
+    /// Windows starting before this are finalized; a record for one is late.
+    TimestampMs finalized_before = INT64_MIN;
+    int64_t total = 0;
+    int64_t late = 0;
     TimestampMs last_start = 0;
     Bucket* last = nullptr;
   };
@@ -120,8 +150,15 @@ class Chaperone {
     return r < 0 ? t - r - window_size_ms_ : t - r;
   }
 
-  /// The windows of (stage, topic), or nullptr when nothing was recorded.
-  const Windows* FindLocked(std::string_view stage, std::string_view topic) const;
+  /// Finalizes every live window of `series` that ends kFinalizeHorizonMs
+  /// or more before `start`. Called when the series moves to a new window;
+  /// each window is finalized once, so the cost is amortized O(1) a record.
+  void FinalizeBeforeLocked(Series* series, TimestampMs start) const;
+
+  /// The series of (stage, topic), or nullptr when nothing was recorded.
+  const Series* FindLocked(std::string_view stage, std::string_view topic) const;
+  /// Every window of (stage, topic), finalized and live, by window start.
+  std::vector<WindowStats> StatsLocked(std::string_view stage, std::string_view topic) const;
 
   int64_t window_size_ms_;
   mutable std::mutex mu_;

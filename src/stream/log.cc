@@ -1,6 +1,7 @@
 #include "stream/log.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/bytes.h"
 
@@ -19,19 +20,24 @@ std::string& PartitionLog::ArenaForLocked(size_t need) {
 
 int64_t PartitionLog::CommitLocked(size_t begin, uint32_t record_count,
                                    int64_t max_timestamp) {
-  BatchMeta meta;
-  meta.arena = arena_;
-  meta.begin = static_cast<uint32_t>(begin);
-  meta.end = static_cast<uint32_t>(arena_->size());
-  meta.base_offset = end_offset_;
-  meta.count = record_count;
+  if (segments_.empty() || segments_.back().arena != arena_) {
+    segments_.push_back({arena_, end_offset_});
+  }
   hwm_timestamp_ = std::max(hwm_timestamp_, max_timestamp);
-  meta.hwm_timestamp = hwm_timestamp_;
+  batches_.push_back({end_offset_, hwm_timestamp_, static_cast<uint32_t>(begin)});
   int64_t base = end_offset_;
   end_offset_ += record_count;
-  bytes_ += static_cast<int64_t>(meta.end - meta.begin);
-  batches_.push_back(std::move(meta));
+  bytes_ += static_cast<int64_t>(arena_->size() - begin);
   return base;
+}
+
+PartitionLog::BatchExtent PartitionLog::ExtentLocked(BatchIter it,
+                                                    const Segment& segment) const {
+  const uint32_t segment_end = static_cast<uint32_t>(segment.arena->size());
+  const BatchIter next = std::next(it);
+  if (next == batches_.end()) return {segment_end, end_offset_ - it->base_offset};
+  return {next->begin > it->begin ? next->begin : segment_end,
+          next->base_offset - it->base_offset};
 }
 
 int64_t PartitionLog::AppendBatchLocked(const wire::EncodedBatch& batch) {
@@ -111,28 +117,40 @@ Result<FetchedBatch> PartitionLog::ReadViews(int64_t offset,
   }
   FetchedBatch out;
   if (offset == end_offset_ || max_messages == 0) return out;
-  // Locate the batch containing `offset`.
+  // Locate the batch containing `offset`, and the segment holding it.
   auto it = std::upper_bound(
       batches_.begin(), batches_.end(), offset,
-      [](int64_t off, const BatchMeta& b) { return off < b.base_offset; });
+      [](int64_t off, const BatchEntry& b) { return off < b.base_offset; });
   --it;  // offset >= begin_offset_ guarantees a containing batch exists
+  auto seg = std::upper_bound(
+      segments_.begin(), segments_.end(), offset,
+      [](int64_t off, const Segment& s) { return off < s.base_offset; });
+  --seg;
+  auto next_segment_base = [&] {
+    return seg + 1 == segments_.end() ? INT64_MAX : (seg + 1)->base_offset;
+  };
+  int64_t next_segment = next_segment_base();
   out.messages.reserve(std::min<size_t>(
       max_messages, static_cast<size_t>(end_offset_ - offset)));
   int64_t cur = offset;
   for (; it != batches_.end() && out.messages.size() < max_messages; ++it) {
-    const BatchMeta& b = *it;
-    if (out.pins.empty() || out.pins.back() != b.arena) out.pins.push_back(b.arena);
-    std::string_view arena(b.arena->data(), b.end);
+    if (it->base_offset >= next_segment) {
+      ++seg;
+      next_segment = next_segment_base();
+    }
+    if (out.pins.empty() || out.pins.back() != seg->arena) out.pins.push_back(seg->arena);
+    const BatchExtent extent = ExtentLocked(it, *seg);
+    std::string_view arena(seg->arena->data(), extent.end);
     // Seek within the batch by hopping length prefixes — reads almost always
     // start at a batch boundary, so this loop rarely iterates.
-    size_t pos = b.begin + wire::kBatchHeaderSize;
-    for (int64_t skip = cur - b.base_offset; skip > 0; --skip) {
+    size_t pos = it->begin + wire::kBatchHeaderSize;
+    for (int64_t skip = cur - it->base_offset; skip > 0; --skip) {
       pos += 4 + bytes::ReadU32BE(arena.data() + pos);
     }
     // Frames were validated structurally at append time; decode untrusted
     // checks would be pure overhead on the fetch hot path.
-    for (size_t ri = static_cast<size_t>(cur - b.base_offset);
-         ri < b.count && out.messages.size() < max_messages; ++ri, ++cur) {
+    for (int64_t ri = cur - it->base_offset;
+         ri < extent.count && out.messages.size() < max_messages; ++ri, ++cur) {
       wire::MessageView view = wire::DecodeFrameTrusted(arena, &pos);
       view.offset = cur;
       out.messages.push_back(view);
@@ -165,11 +183,19 @@ int64_t PartitionLog::ApplyRetention(const RetentionPolicy& policy, TimestampMs 
   std::lock_guard<std::mutex> lock(mu_);
   int64_t dropped = 0;
   auto drop_front = [&] {
-    const BatchMeta& b = batches_.front();
-    bytes_ -= static_cast<int64_t>(b.end - b.begin);
-    begin_offset_ += b.count;
-    dropped += b.count;
+    const BatchExtent extent = ExtentLocked(batches_.begin(), segments_.front());
+    bytes_ -= static_cast<int64_t>(extent.end - batches_.front().begin);
+    begin_offset_ += extent.count;
+    dropped += extent.count;
     batches_.pop_front();
+    // Release the segments no retained batch lives in any more.
+    if (batches_.empty()) {
+      segments_.clear();
+    } else {
+      while (segments_.size() > 1 && segments_[1].base_offset <= batches_.front().base_offset) {
+        segments_.pop_front();
+      }
+    }
   };
   if (policy.max_age_ms > 0) {
     // Strictly by append order: the monotone watermark means a non-expired
@@ -187,6 +213,32 @@ int64_t PartitionLog::ApplyRetention(const RetentionPolicy& policy, TimestampMs 
     while (batches_.size() > 1 && bytes_ > policy.max_bytes) drop_front();
   }
   return dropped;
+}
+
+namespace {
+
+/// Estimated heap bytes of a std::deque: whole nodes of libstdc++'s 512-byte
+/// buffer size plus one map pointer per node.
+template <typename T>
+int64_t DequeBytes(const std::deque<T>& d) {
+  constexpr size_t kPerNode = sizeof(T) < 512 ? 512 / sizeof(T) : 1;
+  const size_t nodes = d.size() / kPerNode + 1;
+  return static_cast<int64_t>(nodes * (kPerNode * sizeof(T) + sizeof(T*)));
+}
+
+}  // namespace
+
+LogFootprint PartitionLog::Footprint() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  LogFootprint out;
+  out.index_bytes = DequeBytes(batches_) + DequeBytes(segments_);
+  out.resident_bytes = out.index_bytes;
+  for (const Segment& s : segments_) out.resident_bytes += static_cast<int64_t>(s.arena->capacity());
+  if (arena_ && (segments_.empty() || segments_.back().arena != arena_)) {
+    out.resident_bytes += static_cast<int64_t>(arena_->capacity());
+  }
+  out.batches = static_cast<int64_t>(batches_.size());
+  return out;
 }
 
 }  // namespace uberrt::stream

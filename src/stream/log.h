@@ -60,6 +60,14 @@ struct FetchedBatch {
   }
 };
 
+/// Memory held by partition logs (one, or summed over a cluster).
+struct LogFootprint {
+  /// Reserved capacity of every arena segment held, plus the batch index.
+  int64_t resident_bytes = 0;
+  int64_t index_bytes = 0;  ///< the batch index alone
+  int64_t batches = 0;      ///< retained batches
+};
+
 struct PartitionLogOptions {
   /// Arena segment capacity. A batch larger than this gets a dedicated
   /// segment sized to fit; segment memory is reclaimed when its last batch
@@ -131,18 +139,33 @@ class PartitionLog {
   /// Returns the number of messages dropped.
   int64_t ApplyRetention(const RetentionPolicy& policy, TimestampMs now);
 
+  /// Memory this log holds: every arena segment its batches live in (plus
+  /// the active one) and the batch index.
+  LogFootprint Footprint() const;
+
  private:
-  /// Bookkeeping for one appended batch: where its bytes live and how its
-  /// records map to offsets.
-  struct BatchMeta {
-    std::shared_ptr<const std::string> arena;
-    uint32_t begin = 0;  ///< byte offset of the batch header in the arena
-    uint32_t end = 0;    ///< one past the batch payload
+  // Packed to 4-byte alignment so an entry takes 20 bytes, not 24.
+#pragma pack(push, 4)
+  /// Index entry for one appended batch. Its record count is the next
+  /// entry's base offset (or the end offset) minus its own; its bytes end
+  /// where the next batch of the same segment begins (or at the segment's
+  /// size). Each batch starts past the previous one in its segment, and a
+  /// fresh segment starts at 0, so `next.begin > begin` exactly when the
+  /// next batch shares the segment.
+  struct BatchEntry {
     int64_t base_offset = 0;
-    uint32_t count = 0;
     /// Monotone high-watermark: max record timestamp over this and every
     /// earlier batch (survives truncation via hwm_timestamp_).
     int64_t hwm_timestamp = 0;
+    uint32_t begin = 0;  ///< byte offset of the batch header in its segment
+  };
+#pragma pack(pop)
+  /// One arena segment and the base offset of its first batch: the
+  /// segment holds the batches from `base_offset` up to the next segment's.
+  /// Each arena pointer is held once here, not once per batch.
+  struct Segment {
+    std::shared_ptr<const std::string> arena;
+    int64_t base_offset = 0;
   };
 
   /// The active arena segment, first replaced by a fresh one when `need`
@@ -152,11 +175,19 @@ class PartitionLog {
   /// returns its base offset.
   int64_t CommitLocked(size_t begin, uint32_t record_count, int64_t max_timestamp);
   int64_t AppendBatchLocked(const wire::EncodedBatch& batch);
+  using BatchIter = std::deque<BatchEntry>::const_iterator;
+  struct BatchExtent {
+    uint32_t end = 0;   ///< one past the batch's last byte in its segment
+    int64_t count = 0;  ///< records in the batch
+  };
+  /// Where the batch at `it`, which lives in `segment`, ends.
+  BatchExtent ExtentLocked(BatchIter it, const Segment& segment) const;
 
   mutable std::mutex mu_;
   PartitionLogOptions options_;
   std::shared_ptr<std::string> arena_;  ///< active segment (fixed capacity)
-  std::deque<BatchMeta> batches_;
+  std::deque<BatchEntry> batches_;
+  std::deque<Segment> segments_;  ///< every segment a retained batch lives in
   int64_t begin_offset_ = 0;
   int64_t end_offset_ = 0;
   int64_t bytes_ = 0;

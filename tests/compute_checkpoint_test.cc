@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "common/fault_injector.h"
 #include "compute/checkpoint.h"
 #include "storage/object_store.h"
 
@@ -118,6 +119,61 @@ TEST(CheckpointStoreTest, CorruptCheckpointBlobSurfacesCorruption) {
   ASSERT_TRUE(checkpoints.Save(SampleData()).ok());
   ASSERT_TRUE(store.Put("checkpoints/job1/chk-7", "shredded").ok());
   EXPECT_TRUE(checkpoints.LoadLatest().status().IsCorruption());
+}
+
+CheckpointData DataAt(int64_t sequence) {
+  CheckpointData data = SampleData();
+  data.sequence = sequence;
+  data.entries["source.0.0"] = std::to_string(sequence * 10);
+  return data;
+}
+
+TEST(CheckpointStoreTest, SaveRetainsOnlyTheLatestCheckpoint) {
+  storage::InMemoryObjectStore store;
+  CheckpointStore checkpoints(&store, "checkpoints", "job1");
+  CheckpointStore other(&store, "checkpoints", "job10");  // shares the "job1" prefix
+  ASSERT_TRUE(other.Save(DataAt(3)).ok());
+  for (int64_t sequence = 1; sequence <= 12; ++sequence) {
+    ASSERT_TRUE(checkpoints.Save(DataAt(sequence)).ok());
+    EXPECT_EQ(store.List("checkpoints/job1/chk-"),
+              std::vector<std::string>{"checkpoints/job1/chk-" + std::to_string(sequence)});
+  }
+  Result<CheckpointData> loaded = checkpoints.LoadLatest();
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded.value().sequence, 12);
+  EXPECT_EQ(loaded.value().entries.at("source.0.0"), "120");
+  EXPECT_TRUE(checkpoints.Load(11).status().IsNotFound());
+  // Another job's checkpoint is never collected.
+  EXPECT_EQ(store.List("checkpoints/job10/chk-"),
+            std::vector<std::string>{"checkpoints/job10/chk-3"});
+  // A save at a lower sequence (a job restarted without its state) still
+  // leaves exactly the checkpoint LATEST names.
+  ASSERT_TRUE(checkpoints.Save(DataAt(2)).ok());
+  EXPECT_EQ(store.List("checkpoints/job1/chk-"),
+            std::vector<std::string>{"checkpoints/job1/chk-2"});
+}
+
+TEST(CheckpointStoreTest, FailedDeletesNeverFailASaveAndAreCollectedLater) {
+  common::FaultInjector faults(/*seed=*/1);
+  storage::InMemoryObjectStore store;
+  store.SetFaultInjector(&faults);
+  CheckpointStore checkpoints(&store, "checkpoints", "job1");
+  common::FaultRule failing;
+  failing.error_probability = 1.0;
+  faults.SetRule("store.delete", failing);
+  for (int64_t sequence = 1; sequence <= 5; ++sequence) {
+    ASSERT_TRUE(checkpoints.Save(DataAt(sequence)).ok());
+    Result<CheckpointData> loaded = checkpoints.LoadLatest();
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded.value().sequence, sequence);
+  }
+  EXPECT_EQ(store.List("checkpoints/job1/chk-").size(), 5u);
+  // The next healthy save collects every leftover blob.
+  faults.ClearRule("store.delete");
+  ASSERT_TRUE(checkpoints.Save(DataAt(6)).ok());
+  EXPECT_EQ(store.List("checkpoints/job1/chk-"),
+            std::vector<std::string>{"checkpoints/job1/chk-6"});
+  EXPECT_EQ(checkpoints.LoadLatest().value().sequence, 6);
 }
 
 }  // namespace

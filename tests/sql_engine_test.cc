@@ -447,5 +447,49 @@ TEST(PrestoGroupByTest, DistinctDoubleKeysThatPrintAlikeStayApart) {
   EXPECT_EQ(result.value().rows[1][1].AsInt(), 2);
 }
 
+TEST(PrestoJoinTest, EqualKeysThatPrintDifferentlyMeet) {
+  // -0.0 = 0.0 and INT 1 = DOUBLE 1.0 under `=`, though each pair prints
+  // differently; the hash join must bucket them together. Keys that print
+  // alike but differ (1.0000001, 1.0000002) must still not join.
+  RowSchema left_schema({{"k", ValueType::kDouble}, {"name", ValueType::kString}});
+  RowSchema right_schema({{"k", ValueType::kInt}, {"label", ValueType::kString}});
+  RowSchema right_double_schema({{"k", ValueType::kDouble}, {"label", ValueType::kString}});
+  InMemoryObjectStore store;
+  ArchiveTable a(&store, "a", left_schema);
+  ArchiveTable b(&store, "b", right_schema);
+  ArchiveTable c(&store, "c", right_double_schema);
+  ASSERT_TRUE(a.AppendBatch("all", {{Value(-0.0), Value("minus_zero")},
+                                    {Value(1.0), Value("one")},
+                                    {Value(1.0000001), Value("close")}})
+                  .ok());
+  ASSERT_TRUE(b.AppendBatch("all", {{Value(int64_t{0}), Value("int_zero")},
+                                    {Value(int64_t{1}), Value("int_one")}})
+                  .ok());
+  ASSERT_TRUE(c.AppendBatch("all", {{Value(0.0), Value("zero")},
+                                    {Value(1.0000002), Value("not_close")}})
+                  .ok());
+  Catalog catalog;
+  catalog.Register("a", std::make_unique<ArchiveConnector>(&a));
+  catalog.Register("b", std::make_unique<ArchiveConnector>(&b));
+  catalog.Register("c", std::make_unique<ArchiveConnector>(&c));
+  PrestoEngine engine(&catalog);
+
+  Result<QueryResult> with_ints = engine.Execute(
+      "SELECT l.name, r.label FROM a l JOIN b r ON l.k = r.k ORDER BY name ASC");
+  ASSERT_TRUE(with_ints.ok()) << with_ints.status().ToString();
+  ASSERT_EQ(with_ints.value().rows.size(), 2u);
+  EXPECT_EQ(with_ints.value().rows[0][0].AsString(), "minus_zero");
+  EXPECT_EQ(with_ints.value().rows[0][1].AsString(), "int_zero");
+  EXPECT_EQ(with_ints.value().rows[1][0].AsString(), "one");
+  EXPECT_EQ(with_ints.value().rows[1][1].AsString(), "int_one");
+
+  Result<QueryResult> with_doubles =
+      engine.Execute("SELECT l.name, r.label FROM a l JOIN c r ON l.k = r.k");
+  ASSERT_TRUE(with_doubles.ok()) << with_doubles.status().ToString();
+  ASSERT_EQ(with_doubles.value().rows.size(), 1u);
+  EXPECT_EQ(with_doubles.value().rows[0][0].AsString(), "minus_zero");
+  EXPECT_EQ(with_doubles.value().rows[0][1].AsString(), "zero");
+}
+
 }  // namespace
 }  // namespace uberrt::sql

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/rng.h"
 #include "stream/broker.h"
 #include "stream/consumer.h"
 #include "stream/log.h"
@@ -407,6 +408,115 @@ TEST(StreamLogTest, LingerBudgetFlushesSparseTraffic) {
   ASSERT_TRUE(producer.MaybeFlushLinger().ok());
   EXPECT_EQ(producer.produced(), 1);
   EXPECT_EQ(broker.EndOffset("t", 0).value(), 1);
+}
+
+TEST(StreamLogTest, IndexCostsAtMost24BytesPerBatch) {
+  // One batch per message, as the audited per-message produce appends.
+  PartitionLog log;
+  EXPECT_EQ(log.Footprint().batches, 0);
+  constexpr int kBatches = 20000;
+  for (int i = 0; i < kBatches; ++i) log.Append(Msg("k", "order-" + std::to_string(i), i));
+  const LogFootprint footprint = log.Footprint();
+  ASSERT_EQ(footprint.batches, kBatches);
+  EXPECT_LE(footprint.index_bytes, 24 * kBatches);
+  // Resident bytes are the arenas (whole segments, reserved up front) plus
+  // the index; the arenas hold every encoded byte.
+  EXPECT_GE(footprint.resident_bytes, log.Bytes() + footprint.index_bytes);
+  EXPECT_LE(footprint.resident_bytes,
+            log.Bytes() + footprint.index_bytes +
+                2 * static_cast<int64_t>(PartitionLogOptions().segment_bytes));
+}
+
+TEST(StreamLogTest, ReadsAndRetentionMatchAModelAcrossSegments) {
+  // Small segments so batches share some segments and others get a
+  // dedicated one; appends interleave with age and size retention, which
+  // sometimes empties the log and lets the active segment take new batches.
+  PartitionLogOptions options;
+  options.segment_bytes = 300;
+  PartitionLog log(options);
+  struct Ref {
+    std::string value;
+    int64_t batch_bytes = 0;  // on the batch's first record only
+    int64_t hwm = 0;
+  };
+  std::vector<Ref> ref;  // indexed by offset
+  std::vector<int64_t> batch_starts;
+  int64_t begin = 0, hwm = INT64_MIN;
+  Rng rng(20261020);
+  for (int step = 0; step < 3000; ++step) {
+    const int64_t kind = rng.Uniform(0, 9);
+    if (kind <= 5) {
+      const int64_t ts = step * 10 - rng.Uniform(0, 50);
+      Message m = Msg("k", std::string(rng.Uniform(0, 80), 'v') + std::to_string(step), ts);
+      hwm = std::max(hwm, ts);
+      ASSERT_EQ(log.Append(m), static_cast<int64_t>(ref.size()));
+      batch_starts.push_back(static_cast<int64_t>(ref.size()));
+      ref.push_back({m.value, static_cast<int64_t>(wire::kBatchHeaderSize + m.FrameSize()), hwm});
+    } else if (kind <= 7) {
+      std::vector<Message> messages;
+      for (int64_t i = rng.Uniform(1, 6); i > 0; --i) {
+        messages.push_back(Msg("", "b" + std::to_string(step) + "-" + std::to_string(i),
+                               step * 10));
+      }
+      wire::EncodedBatch batch = Batch(messages);
+      hwm = std::max(hwm, batch.max_timestamp);
+      Result<int64_t> base = log.AppendBatch(batch);
+      ASSERT_TRUE(base.ok());
+      ASSERT_EQ(base.value(), static_cast<int64_t>(ref.size()));
+      batch_starts.push_back(base.value());
+      for (size_t i = 0; i < messages.size(); ++i) {
+        ref.push_back({messages[i].value, i == 0 ? static_cast<int64_t>(batch.bytes()) : 0, hwm});
+      }
+    } else if (kind == 8) {
+      RetentionPolicy policy;
+      policy.max_age_ms = rng.Uniform(0, 3000);
+      const int64_t now = step * 10;
+      int64_t expected = 0;
+      while (!batch_starts.empty() && ref[batch_starts.front()].hwm < now - policy.max_age_ms) {
+        const int64_t next = batch_starts.size() > 1 ? batch_starts[1] : static_cast<int64_t>(ref.size());
+        expected += next - batch_starts.front();
+        batch_starts.erase(batch_starts.begin());
+      }
+      ASSERT_EQ(log.ApplyRetention(policy, now), expected);
+      begin += expected;
+    } else {
+      RetentionPolicy policy;
+      policy.max_bytes = rng.Uniform(1, 4000);
+      int64_t bytes = 0;
+      for (int64_t start : batch_starts) bytes += ref[start].batch_bytes;
+      int64_t expected = 0;
+      while (batch_starts.size() > 1 && bytes > policy.max_bytes) {
+        bytes -= ref[batch_starts.front()].batch_bytes;
+        expected += batch_starts[1] - batch_starts.front();
+        batch_starts.erase(batch_starts.begin());
+      }
+      ASSERT_EQ(log.ApplyRetention(policy, 0), expected);
+      begin += expected;
+    }
+    ASSERT_EQ(log.BeginOffset(), begin);
+    ASSERT_EQ(log.EndOffset(), static_cast<int64_t>(ref.size()));
+    ASSERT_EQ(log.Footprint().batches, static_cast<int64_t>(batch_starts.size()));
+    int64_t bytes = 0;
+    for (int64_t start : batch_starts) bytes += ref[start].batch_bytes;
+    ASSERT_EQ(log.Bytes(), bytes);
+    // A read from a random retained offset returns the model's values.
+    if (begin < static_cast<int64_t>(ref.size())) {
+      const int64_t from = rng.Uniform(begin, static_cast<int64_t>(ref.size()) - 1);
+      Result<FetchedBatch> views = log.ReadViews(from, static_cast<size_t>(rng.Uniform(1, 40)));
+      ASSERT_TRUE(views.ok());
+      for (const wire::MessageView& view : views.value().messages) {
+        ASSERT_EQ(view.value, ref[view.offset].value) << "offset " << view.offset;
+      }
+      ASSERT_EQ(views.value().messages.front().offset, from);
+    }
+  }
+  // A full read from the begin offset sees every retained record in order.
+  Result<FetchedBatch> all = log.ReadViews(begin, ref.size());
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(static_cast<int64_t>(all.value().size()), static_cast<int64_t>(ref.size()) - begin);
+  for (size_t i = 0; i < all.value().size(); ++i) {
+    EXPECT_EQ(all.value().messages[i].value, ref[begin + static_cast<int64_t>(i)].value);
+  }
 }
 
 }  // namespace

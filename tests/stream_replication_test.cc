@@ -330,6 +330,81 @@ TEST(ChaperoneTest, MatchesSetReferenceOnRandomizedUids) {
   }
 }
 
+TEST(ChaperoneTest, FinalizedWindowsKeepTheirStatsAndFreeTheirUids) {
+  const int64_t window = 1000;
+  const int64_t horizon_windows = Chaperone::kFinalizeHorizonMs / window;
+  Chaperone audit(window);
+  // Two stages over 3 horizons of one-second windows; the aggregate stage
+  // loses uid 0 and duplicates uid 1 of every tenth window.
+  const int64_t windows = 3 * horizon_windows;
+  std::vector<WindowStats> expected_up, expected_down;
+  for (int64_t w = 0; w < windows; ++w) {
+    for (int64_t i = 0; i < 5; ++i) {
+      const std::string uid = "u" + std::to_string(w) + "-" + std::to_string(i);
+      audit.RecordRaw("producer", "t", w * window + i, uid);
+      if (w % 10 == 0 && i == 0) continue;
+      audit.RecordRaw("aggregate", "t", w * window + i, uid);
+      if (w % 10 == 0 && i == 1) audit.RecordRaw("aggregate", "t", w * window + i, uid);
+    }
+    expected_up.push_back({w * window, 5, 5});
+    expected_down.push_back({w * window, 5, w % 10 == 0 ? 4 : 5});
+  }
+  auto expect_stats = [](const std::vector<WindowStats>& got,
+                         const std::vector<WindowStats>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].window_start, want[i].window_start);
+      EXPECT_EQ(got[i].count, want[i].count);
+      EXPECT_EQ(got[i].unique, want[i].unique);
+    }
+  };
+  expect_stats(audit.GetStats("producer", "t"), expected_up);
+  expect_stats(audit.GetStats("aggregate", "t"), expected_down);
+  // Every tenth window alerts twice, finalized or live.
+  std::vector<AuditAlert> alerts = audit.Compare("producer", "aggregate", "t");
+  ASSERT_EQ(alerts.size(), 2u * static_cast<size_t>(windows / 10));
+  EXPECT_EQ(alerts[0].ToString(), "LOSS topic=t window=0 upstream=5 downstream=4");
+  EXPECT_EQ(alerts[1].ToString(), "DUPLICATION topic=t window=0 upstream=4 downstream=5");
+
+  // A record for a finalized window is late: counted in TotalCount and
+  // LateCount, and the frozen window never changes.
+  EXPECT_EQ(audit.LateCount("producer", "t"), 0);
+  audit.RecordRaw("producer", "t", 3 * window, "late-uid");
+  audit.RecordRaw("producer", "t", 3 * window, "u3-0");
+  EXPECT_EQ(audit.LateCount("producer", "t"), 2);
+  EXPECT_EQ(audit.TotalCount("producer", "t"), 5 * windows + 2);
+  expect_stats(audit.GetStats("producer", "t"), expected_up);
+  // A record inside the horizon still lands in its (live) window.
+  const int64_t live = windows - horizon_windows / 2;
+  audit.RecordRaw("producer", "t", live * window, "extra");
+  expected_up[static_cast<size_t>(live)] = {live * window, 6, 6};
+  expect_stats(audit.GetStats("producer", "t"), expected_up);
+  EXPECT_EQ(audit.LateCount("producer", "t"), 2);
+  EXPECT_EQ(audit.LateCount("nowhere", "t"), 0);
+}
+
+TEST(ChaperoneTest, ResidentBytesLevelOffOverALongRun) {
+  // 100 uids a one-second window: resident bytes at 2N windows stay within
+  // 10% of those at N, once N is past the finalization horizon.
+  const int64_t window = 1000;
+  const int64_t n = 3 * Chaperone::kFinalizeHorizonMs / window;
+  Chaperone audit(window);
+  int64_t at_n = 0;
+  int64_t uid = 0;
+  for (int64_t w = 0; w < 2 * n; ++w) {
+    for (int64_t i = 0; i < 100; ++i) {
+      audit.RecordRaw("producer", "eats_orders", w * window + i * 10,
+                      "restaurant_manager-" + std::to_string(uid++));
+    }
+    if (w + 1 == n) at_n = audit.ResidentBytes();
+  }
+  const int64_t at_2n = audit.ResidentBytes();
+  EXPECT_GT(at_n, 0);
+  EXPECT_LE(at_2n, at_n * 11 / 10) << "at N " << at_n << ", at 2N " << at_2n;
+  EXPECT_EQ(audit.TotalCount("producer", "eats_orders"), 200 * n);
+  EXPECT_EQ(audit.GetStats("producer", "eats_orders").size(), static_cast<size_t>(2 * n));
+}
+
 TEST(ChaperoneTest, EndToEndThroughReplication) {
   // Wire a real replication pipeline and verify the audit catches injected
   // loss (bench C13's core path).
