@@ -75,7 +75,7 @@ int Main() {
     return true;
   };
   std::vector<Row> reference;
-  bench::JsonReport report("C8", "predicate + aggregation pushdown -> sub-second "
+  bench::JsonReport report("c8", "predicate + aggregation pushdown -> sub-second "
                                  "PrestoSQL; broker scatter-gather parallel across "
                                  "servers");
   for (const Level& level : levels) {

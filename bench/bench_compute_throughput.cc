@@ -94,7 +94,6 @@ compute::SourceSpec MakeSource(const std::string& topic) {
   source.schema = EventSchema();
   source.time_field = "ts";
   source.out_of_orderness_ms = 100;
-  source.watermark_interval_records = 64;
   return source;
 }
 

@@ -23,8 +23,10 @@
 #      bench_compute_throughput gates the batch-at-a-time dataflow
 #      (ElementBatch channels, operator chaining, flat-hash keyed state)
 #      against the per-record baseline (ratios in BENCH_compute.json),
-#      and bench_tiering gates the warm-tier footprint and the cluster
-#      memory budget (curves in BENCH_tiering.json).
+#      bench_tiering gates the warm-tier footprint and the cluster
+#      memory budget (curves in BENCH_tiering.json), and bench_c14_slas
+#      fails if any dashboard batch waits out its 5 s freshness give-up
+#      (stalls in BENCH_c14.json).
 # Usage: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -108,15 +110,22 @@ echo "== perf smoke: segment tiers under memory budget (bench_tiering) =="
 cmake --build build -j --target bench_tiering
 (cd build && UBERRT_PERF_GATE=1 ./bench/bench_tiering)
 
+# Perf smoke: every produced dashboard batch must become queryable before
+# bench_c14_slas gives up on it at 5 s; a stall means a window stayed open
+# after its records were read (stalls in BENCH_c14.json).
+echo "== perf smoke: dashboard freshness without stalls (bench_c14_slas) =="
+cmake --build build -j --target bench_c14_slas
+(cd build && UBERRT_PERF_GATE=1 ./bench/bench_c14_slas)
+
 # Regenerate the remaining headline bench artifacts (ungated: these record
 # measured values next to the paper's claims) and persist every BENCH_*.json
 # at the repo root so the numbers ride along with the code that produced
 # them.
 echo "== bench artifacts =="
 cmake --build build -j --target bench_c4_pinot_vs_es bench_c7_segment_recovery \
-  bench_c8_pushdown bench_c14_slas
+  bench_c8_pushdown
 (cd build && ./bench/bench_c4_pinot_vs_es && ./bench/bench_c7_segment_recovery \
-  && ./bench/bench_c8_pushdown && ./bench/bench_c14_slas)
+  && ./bench/bench_c8_pushdown)
 cp build/BENCH_*.json .
 
 echo "CI OK"

@@ -285,7 +285,7 @@ Status WriteDrillReportsJson(const std::string& path,
     totals.sla_violations += r.sla_violations;
     if (r.mttr_ms > mttr_max) mttr_max = r.mttr_ms;
   }
-  std::fprintf(f, "{\n  \"benchmark\": \"allactive_drills\",\n");
+  std::fprintf(f, "{\n  \"id\": \"allactive_drills\",\n");
   std::fprintf(f, "  \"drills\": [\n");
   for (size_t i = 0; i < reports.size(); ++i) {
     WriteReportFields(f, reports[i]);

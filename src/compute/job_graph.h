@@ -52,11 +52,9 @@ struct SourceSpec {
   RowSchema schema;
   /// Field carrying the event timestamp (ms). Empty -> ingestion time.
   std::string time_field;
-  /// Bounded out-of-orderness watermark generator: watermark = max seen
-  /// event time minus this slack.
+  /// Bounded out-of-orderness watermark generator: after each poll that read
+  /// records, watermark = max seen event time minus this slack.
   int64_t out_of_orderness_ms = 0;
-  /// Emit a watermark every this many records.
-  int64_t watermark_interval_records = 64;
 };
 
 /// One transformation stage.

@@ -161,7 +161,6 @@ struct JobRunner::SourceState {
   /// watermarking): the source watermark is the min over partitions that
   /// have produced data, so slow partitions never make fast ones "late".
   std::vector<TimestampMs> partition_max_event_time;
-  int64_t records_since_watermark = 0;
   std::atomic<bool> busy{false};
   std::atomic<bool> done{false};
 
@@ -171,6 +170,9 @@ struct JobRunner::SourceState {
   /// StartCheckpoint reads it under.
   bool final_sent = false;
   int64_t barrier_sequence = 0;  ///< latest checkpoint this source has cut
+  /// Last watermark this source emitted. Not checkpointed: a restored source
+  /// re-emits from INT64_MIN and downstream alignment only moves forward.
+  TimestampMs last_watermark = INT64_MIN;
   std::vector<int64_t> end_targets;
   OutBuffer out;
   std::deque<PendingPush> stash;
@@ -608,16 +610,16 @@ void JobRunner::RunSource(size_t source_index) {
       element.from_channel = static_cast<int32_t>(source_index);
       EmitRecord(std::move(element), out, &src.out, &src.stash);
       src.positions[p] = m.offset + 1;
-      if (++src.records_since_watermark >= src.spec.watermark_interval_records) {
-        src.records_since_watermark = 0;
-        TimestampMs base = src.CurrentWatermarkBase(bus_);
-        if (base != INT64_MIN) {
-          Element wm = Element::Watermark(base - src.spec.out_of_orderness_ms);
-          wm.from_channel = static_cast<int32_t>(source_index);
-          EmitControl(wm, out, &src.out, &src.stash);
-        }
-      }
     }
+  }
+  // One watermark per poll that read records, queued behind them, so a
+  // window closes once its records are read, not when later traffic comes.
+  TimestampMs base = got_data ? src.CurrentWatermarkBase(bus_) : INT64_MIN;
+  if (base != INT64_MIN && base - src.spec.out_of_orderness_ms > src.last_watermark) {
+    src.last_watermark = base - src.spec.out_of_orderness_ms;
+    Element wm = Element::Watermark(src.last_watermark);
+    wm.from_channel = static_cast<int32_t>(source_index);
+    EmitControl(wm, out, &src.out, &src.stash);
   }
   FlushOut(out, &src.out, &src.stash);
   if (src.finishing) {

@@ -31,7 +31,6 @@ class EsLikeStore {
   explicit EsLikeStore(RowSchema schema);
 
   Status Ingest(const Row& row);
-  int64_t NumDocs() const { return static_cast<int64_t>(docs_.size()); }
 
   Result<OlapResult> Query(const OlapQuery& query) const;
 

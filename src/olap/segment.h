@@ -194,7 +194,6 @@ class Segment {
   /// Decodes every still-lazy column (recovery replay, compaction, full
   /// promotion). No-op on eager segments.
   Status EnsureAllColumns() const;
-  bool IsLazy() const { return lazy_ != nullptr; }
 
   /// Detached pruning metadata (see SegmentPruneInfo). Requires decoded
   /// zone maps, i.e. an eagerly built/deserialized segment.

@@ -530,7 +530,7 @@ TEST(DrillHarnessTest, PlannedAndUnplannedDrillsMeetTheGate) {
   size_t n;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) contents.append(buf, n);
   std::fclose(f);
-  EXPECT_NE(contents.find("\"benchmark\": \"allactive_drills\""), std::string::npos);
+  EXPECT_NE(contents.find("\"id\": \"allactive_drills\""), std::string::npos);
   EXPECT_NE(contents.find("\"mttr_ms\""), std::string::npos);
   EXPECT_NE(contents.find("\"lost\": 0"), std::string::npos);
   EXPECT_NE(contents.find("\"totals\""), std::string::npos);

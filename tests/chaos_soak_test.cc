@@ -232,7 +232,6 @@ TEST(ChaosSoakTest, CheckpointCrashRestartKeepsCountsExact) {
   source.topic = "events";
   source.schema = schema;
   source.time_field = "ts";
-  source.watermark_interval_records = 4;
   graph.AddSource(source).WindowAggregate("agg", {"key"},
                                           compute::WindowSpec::Tumbling(60000),
                                           {compute::AggregateSpec::Count("n")});

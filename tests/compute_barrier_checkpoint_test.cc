@@ -153,7 +153,6 @@ SourceSpec Source(const std::string& topic, RowSchema schema, const std::string&
   source.schema = std::move(schema);
   source.time_field = time_field;
   source.out_of_orderness_ms = 200;
-  source.watermark_interval_records = 16;
   return source;
 }
 

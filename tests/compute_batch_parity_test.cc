@@ -97,7 +97,6 @@ JobGraph RandomGraph(Rng* rng, const std::string& topic, bool with_window) {
   source.schema = EventSchema();
   source.time_field = "ts";
   source.out_of_orderness_ms = 200;
-  source.watermark_interval_records = 1 + rng->Uniform(0, 16);
   graph.AddSource(source);
   int stages = 2 + rng->Uniform(0, 4);
   for (int s = 0; s < stages; ++s) {
@@ -220,7 +219,6 @@ TEST_P(BatchParityTest, WindowJoinAcrossBatchSizes) {
                                        {"ts2", ValueType::kInt}});
       source.time_field = topic == std::string("left") ? "ts" : "ts2";
       source.out_of_orderness_ms = 200;
-      source.watermark_interval_records = 8;
       graph.AddSource(source);
     }
     graph.WindowJoin("join", {"key"}, WindowSpec::Tumbling(1000),
@@ -255,7 +253,6 @@ TEST(BatchParityCheckpointTest, RestoreAcrossChainingModes) {
     source.schema = EventSchema();
     source.time_field = "ts";
     source.out_of_orderness_ms = 200;
-    source.watermark_interval_records = 4;
     graph.AddSource(source)
         .Filter("keep", [](const Row& r) { return r[1].ToNumeric() < 70.0; })
         .Map(

@@ -94,7 +94,6 @@ TEST_F(JobRunnerTest, TumblingWindowCountsPerKey) {
   source.topic = "trips";
   source.schema = TripSchema();
   source.time_field = "ts";
-  source.watermark_interval_records = 8;
   graph.AddSource(source)
       .WindowAggregate("agg", {"hex"}, WindowSpec::Tumbling(60000),
                        {AggregateSpec::Count("n"), AggregateSpec::Sum("fare", "total"),
@@ -134,7 +133,6 @@ TEST_F(JobRunnerTest, CheckpointRestartResumesWithoutDuplicateState) {
     source.topic = "trips";
     source.schema = TripSchema();
     source.time_field = "ts";
-    source.watermark_interval_records = 4;
     graph.AddSource(source)
         .WindowAggregate("agg", {"hex"}, WindowSpec::Tumbling(60000),
                          {AggregateSpec::Count("n")})
@@ -206,12 +204,10 @@ TEST_F(JobRunnerTest, WindowJoinMatchesWithinWindow) {
   left.topic = "predictions";
   left.schema = pred_schema;
   left.time_field = "ts";
-  left.watermark_interval_records = 4;
   SourceSpec right;
   right.topic = "outcomes";
   right.schema = outcome_schema;
   right.time_field = "ts2";
-  right.watermark_interval_records = 4;
   graph.AddSource(left).AddSource(right);
   graph.WindowJoin("join", {"model"}, WindowSpec::Tumbling(60000));
   graph.SinkToCollector([&](const Row& row, TimestampMs) {
@@ -238,7 +234,6 @@ TEST_F(JobRunnerTest, LateRecordsAreDropped) {
   source.topic = "trips";
   source.schema = TripSchema();
   source.time_field = "ts";
-  source.watermark_interval_records = 1;  // watermark after every record
   graph.AddSource(source)
       .WindowAggregate("agg", {"hex"}, WindowSpec::Tumbling(1000),
                        {AggregateSpec::Count("n")})
@@ -259,6 +254,98 @@ TEST_F(JobRunnerTest, LateRecordsAreDropped) {
   EXPECT_EQ(runner.LateDropped(), 1);
   // Two windows fired: [0,1000) with 1 record, [5000,6000) with 1.
   EXPECT_EQ(results.size(), 2u);
+}
+
+// The tail of a burst closes its window without later traffic: the poll that
+// reads the records also carries their watermark.
+TEST_F(JobRunnerTest, WindowFiresOnceItsRecordsAreRead) {
+  // Event times 0..1350: 7 records in [0,1000), 3 in [1000,2000).
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(broker_->Produce("trips", TripMessage("A", 1.0, i * 150)).ok());
+  }
+  std::mutex mu;
+  std::vector<Row> results;
+  JobGraph graph("tail");
+  SourceSpec source;
+  source.topic = "trips";
+  source.schema = TripSchema();
+  source.time_field = "ts";
+  graph.AddSource(source)
+      .WindowAggregate("agg", {"hex"}, WindowSpec::Tumbling(1000),
+                       {AggregateSpec::Count("n")})
+      .SinkToCollector([&](const Row& row, TimestampMs) {
+        std::lock_guard<std::mutex> lock(mu);
+        results.push_back(row);
+      });
+
+  JobRunner runner(graph, broker_.get(), store_.get());
+  ASSERT_TRUE(runner.Start().ok());
+  ASSERT_TRUE(runner.WaitUntilCaughtUp(10000).ok());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0][1].AsInt(), 0);  // window start
+    EXPECT_EQ(results[0][2].AsInt(), 7);
+  }
+  runner.RequestFinish();
+  ASSERT_TRUE(runner.AwaitTermination(10000).ok());
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[1][2].AsInt(), 3);
+}
+
+// Both inputs' tails move the join's watermark past the first window, so a
+// record for that window arriving afterwards is late on either side.
+TEST_F(JobRunnerTest, WindowJoinClosesOnceBothInputsAreRead) {
+  TopicConfig config;
+  config.num_partitions = 2;
+  ASSERT_TRUE(broker_->CreateTopic("predictions", config).ok());
+  ASSERT_TRUE(broker_->CreateTopic("outcomes", config).ok());
+  RowSchema pred_schema({{"model", ValueType::kString},
+                         {"predicted", ValueType::kDouble},
+                         {"ts", ValueType::kInt}});
+  RowSchema outcome_schema({{"model", ValueType::kString},
+                            {"actual", ValueType::kDouble},
+                            {"ts2", ValueType::kInt}});
+  auto produce = [&](const std::string& topic, double v, int64_t ts) {
+    Message m;
+    m.key = "m0";
+    m.value = EncodeRow({Value(m.key), Value(v), Value(ts)});
+    m.timestamp = ts;
+    ASSERT_TRUE(broker_->Produce(topic, m).ok());
+  };
+  // Per side, 7 records in [0,1000) and 3 in [1000,2000).
+  for (int i = 0; i < 10; ++i) {
+    produce("predictions", 0.5 + i, i * 150);
+    produce("outcomes", 0.4 + i, i * 150 + 1);
+  }
+
+  std::mutex mu;
+  std::vector<Row> results;
+  JobGraph graph("join_tail");
+  SourceSpec left;
+  left.topic = "predictions";
+  left.schema = pred_schema;
+  left.time_field = "ts";
+  SourceSpec right;
+  right.topic = "outcomes";
+  right.schema = outcome_schema;
+  right.time_field = "ts2";
+  graph.AddSource(left).AddSource(right);
+  graph.WindowJoin("join", {"model"}, WindowSpec::Tumbling(1000));
+  graph.SinkToCollector([&](const Row& row, TimestampMs) {
+    std::lock_guard<std::mutex> lock(mu);
+    results.push_back(row);
+  });
+
+  JobRunner runner(graph, broker_.get(), store_.get());
+  ASSERT_TRUE(runner.Start().ok());
+  ASSERT_TRUE(runner.WaitUntilCaughtUp(10000).ok());
+  produce("predictions", 100.0, 500);
+  produce("outcomes", 100.0, 500);
+  runner.RequestFinish();
+  ASSERT_TRUE(runner.AwaitTermination(10000).ok());
+  EXPECT_EQ(runner.LateDropped(), 2);
+  EXPECT_EQ(results.size(), 7u * 7u + 3u * 3u);
 }
 
 TEST_F(JobRunnerTest, CorruptMessagesCountedNotFatal) {

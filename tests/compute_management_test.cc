@@ -64,7 +64,6 @@ class JobManagerTest : public ::testing::Test {
     source.topic = "events";
     source.schema = EventSchema();
     source.time_field = "ts";
-    source.watermark_interval_records = 4;
     graph.AddSource(source).WindowAggregate("agg", {"key"}, WindowSpec::Tumbling(60000),
                                             {AggregateSpec::Count("n")});
     graph.SinkToCollector([results, mu](const Row& row, TimestampMs) {
