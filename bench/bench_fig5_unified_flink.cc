@@ -39,7 +39,7 @@ int Main() {
   runner->WaitUntilCaughtUp(60'000).ok();
   // Periodic checkpoint: one sweep starts the barrier round, a later sweep
   // persists it once the sink has aligned.
-  compute::CheckpointStore checkpoints(platform.store(), "checkpoints", sql_job.value());
+  compute::CheckpointStore checkpoints(platform.store(), sql_job.value());
   for (int i = 0; i < 10'000 && !checkpoints.LatestSequence().ok(); ++i) {
     platform.jobs()->Tick().ok();
     SystemClock::Instance()->SleepMs(1);

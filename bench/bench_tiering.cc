@@ -1,13 +1,13 @@
 // tiering — Section 4.3.4: memory is the scarce resource on realtime Pinot
 // servers; history migrates to the archival tier while queries stay correct.
 //
-// Seals a deferred-index table into a few dozen segments, runs background
-// compaction, then sweeps the hot/warm/cold tier mix from all-hot to
-// mostly-cold (100/0/0 -> 60/30/10 -> 20/30/50, as byte targets against the
-// all-hot footprint). For every mix it measures the resident footprint and
-// the query latency distribution (each rep re-applies the tier targets, so
-// p99 includes the cold-reload path) and verifies bitwise result parity
-// against the all-hot fingerprints. Everything lands in BENCH_tiering.json.
+// Seals an indexed table into a few dozen segments, then sweeps the
+// hot/warm/cold tier mix from all-hot to mostly-cold (100/0/0 -> 60/30/10
+// -> 20/30/50, as byte targets against the all-hot footprint). For every
+// mix it measures the resident footprint and the query latency distribution
+// (each rep re-applies the tier targets, so p99 includes the cold-reload
+// path) and verifies bitwise result parity against the all-hot
+// fingerprints. Everything lands in BENCH_tiering.json.
 //
 // With UBERRT_PERF_GATE set, exits non-zero unless:
 //   - the all-warm footprint is under 0.5x the all-hot footprint (the packed
@@ -115,7 +115,6 @@ int Main() {
   table.time_column = "ts";
   table.segment_rows_threshold = 1024;
   table.index_config.inverted_columns = {"city", "status"};
-  table.deferred_index_build = true;
   olap::ClusterTableOptions options;
   options.num_servers = 4;
   cluster.CreateTable(table, "rides", options).ok();
@@ -137,9 +136,6 @@ int Main() {
   }
   cluster.IngestAll("rides_t").ok();
   cluster.ForceSeal("rides_t").ok();
-  Result<int64_t> compacted = cluster.CompactOnce("rides_t");
-  std::printf("segments compacted (deferred index rebuild): %lld\n",
-              compacted.ok() ? static_cast<long long>(compacted.value()) : -1LL);
   // Archive everything up front: cold demotion then rides the existing blobs.
   cluster.DrainArchivalQueue("rides_t").ok();
 

@@ -2,9 +2,10 @@
 # CI gate, in two stages:
 #   1. tier-1: plain build + the full ctest suite (must stay green), then
 #      the pipebench selftest.
-#   2. sanitizers: the concurrency stress suites plus the vectorized/scalar
-#      parity fuzz under AddressSanitizer and ThreadSanitizer — the
-#      enforcement mechanism for the lifetime and lock rules in DESIGN.md §5
+#   2. sanitizers: every test suite (the concurrency stress suites, the
+#      vectorized/scalar parity fuzz and the rest) under AddressSanitizer
+#      and ThreadSanitizer — the enforcement mechanism for the lifetime and
+#      lock rules in DESIGN.md §5
 #      (broker topic ownership, OLAP table ownership, the shared executor /
 #      cooperative JobRunner and its barrier checkpoints, fetched views
 #      pinned across topic migration and DLQ reinjection), for the memory
@@ -41,7 +42,7 @@ ctest --test-dir build --output-on-failure -j
 echo "== pipebench selftest =="
 python3 pipebench/run.py --selftest
 
-CONCURRENCY_SUITES="common_executor_test|stream_log_test|stream_broker_concurrency_test|olap_cluster_concurrency_test|chaos_soak_test|olap_vectorized_parity_test|olap_morsel_parity_test|olap_upsert_recovery_test|olap_tiering_test|allactive_drill_test|compute_batch_parity_test|stream_federation_test|stream_dlq_proxy_test|olap_segment_test|olap_table_test|compute_barrier_checkpoint_test|compute_job_runner_test|compute_management_test|compute_window_operator_test|compute_checkpoint_test|storage_metadata_test|sql_engine_test|stream_replication_test|core_platform_test|stream_broker_test|bounded_state_soak_test"
+CONCURRENCY_SUITES="common_executor_test|stream_log_test|stream_broker_concurrency_test|olap_cluster_concurrency_test|chaos_soak_test|olap_vectorized_parity_test|olap_morsel_parity_test|olap_upsert_recovery_test|olap_tiering_test|allactive_drill_test|compute_batch_parity_test|stream_federation_test|stream_dlq_proxy_test|olap_segment_test|olap_table_test|compute_barrier_checkpoint_test|compute_job_runner_test|compute_management_test|compute_window_operator_test|compute_checkpoint_test|storage_metadata_test|sql_engine_test|stream_replication_test|core_platform_test|stream_broker_test|bounded_state_soak_test|allactive_test|common_fault_retry_test|common_test|compute_flinksql_test|olap_cluster_test|sql_parser_test|workload_test"
 for SAN in address thread; do
   echo "== sanitizer gate: ${SAN} =="
   cmake -B "build-${SAN}" -S . -DUBERRT_SANITIZE="${SAN}"
@@ -53,7 +54,9 @@ for SAN in address thread; do
     stream_dlq_proxy_test olap_segment_test olap_table_test \
     compute_barrier_checkpoint_test compute_job_runner_test compute_management_test \
     compute_window_operator_test compute_checkpoint_test storage_metadata_test sql_engine_test \
-    stream_replication_test core_platform_test stream_broker_test bounded_state_soak_test
+    stream_replication_test core_platform_test stream_broker_test bounded_state_soak_test \
+    allactive_test common_fault_retry_test common_test compute_flinksql_test \
+    olap_cluster_test sql_parser_test workload_test
   ctest --test-dir "build-${SAN}" --output-on-failure -R "^(${CONCURRENCY_SUITES})$"
 done
 

@@ -15,8 +15,7 @@ size_t ResolveThreadCount(size_t requested) {
 }  // namespace
 
 Executor::Executor(ExecutorOptions options)
-    : queue_(options.queue_capacity),
-      queue_depth_(metrics_.GetGauge(options.name + ".queue_depth")),
+    : queue_depth_(metrics_.GetGauge(options.name + ".queue_depth")),
       tasks_submitted_(metrics_.GetCounter(options.name + ".tasks_submitted")),
       tasks_completed_(metrics_.GetCounter(options.name + ".tasks_completed")),
       task_wait_us_(metrics_.GetHistogram(options.name + ".task_wait_us")),
@@ -63,11 +62,6 @@ void Executor::WorkerLoop() {
                              .count());
     tasks_completed_->Increment();
   }
-}
-
-Executor& Executor::Shared() {
-  static Executor shared{ExecutorOptions{0, 0, "executor.shared"}};
-  return shared;
 }
 
 void Executor::RunTaskGroup(Executor* executor, size_t count,

@@ -54,14 +54,12 @@ struct ExecutorOptions {
   /// tasks across the platform may sleep (proxy endpoints, idle sources),
   /// so the pool needs headroom beyond core count for liveness.
   size_t num_threads = 0;
-  /// Task queue capacity; 0 = unbounded. The pool's own submission path
-  /// must never block the platform's hot paths, so unbounded is the default.
-  size_t queue_capacity = 0;
   /// Metric name prefix, e.g. "executor.platform".
   std::string name = "executor";
 };
 
-/// Fixed-size thread pool over BoundedQueue. One instance is shared by the
+/// Fixed-size thread pool over an unbounded BoundedQueue: submission must
+/// never block the platform's hot paths. One instance is shared by the
 /// whole platform (olap scatter-gather, compute instance loops, proxy
 /// dispatch), so total OS-thread count is a config knob rather than a
 /// function of job width (DESIGN.md §2, paper §4.3).
@@ -91,11 +89,6 @@ class Executor {
   size_t num_threads() const { return threads_.size(); }
   size_t QueueDepth() const { return queue_.Size(); }
   MetricsRegistry& metrics() { return metrics_; }
-
-  /// Process-wide default pool for components constructed without an
-  /// explicit executor. Function-local static: destroyed at exit, so leak
-  /// checkers stay quiet.
-  static Executor& Shared();
 
   /// Runs `count` indexed tasks as one gathered batch (a morsel task
   /// group): each index is submitted to `executor` and the call blocks

@@ -4,6 +4,13 @@
 
 namespace uberrt::compute {
 
+namespace {
+/// Rows pumped between lag checks.
+constexpr int64_t kPumpChunk = 4'096;
+/// Partition count of the transient replay topic.
+constexpr int32_t kReplayPartitions = 4;
+}  // namespace
+
 Result<BackfillReport> KappaPlusBackfill::Run(const JobGraph& graph,
                                               const storage::ArchiveTable& table,
                                               const std::vector<std::string>& partitions,
@@ -17,7 +24,7 @@ Result<BackfillReport> KappaPlusBackfill::Run(const JobGraph& graph,
   const std::string replay_topic =
       graph.name() + "__backfill_" + std::to_string(next_replay_id_++);
   stream::TopicConfig config;
-  config.num_partitions = options.replay_partitions;
+  config.num_partitions = kReplayPartitions;
   UBERRT_RETURN_IF_ERROR(bus_->CreateTopic(replay_topic, config));
 
   // Same logic, minor config changes: source topic + reorder slack.
@@ -49,7 +56,7 @@ Result<BackfillReport> KappaPlusBackfill::Run(const JobGraph& graph,
         return produced.status();
       }
       ++report.records_pumped;
-      if (++since_check >= options.pump_chunk) {
+      if (++since_check >= kPumpChunk) {
         since_check = 0;
         // Throttle: historic data reads far outpace the job; wait for the
         // pipeline to digest before pumping more.

@@ -26,13 +26,9 @@ namespace uberrt::compute {
 struct BackfillOptions {
   /// Pause pumping while the job's source lag exceeds this (throttling).
   int64_t max_inflight_records = 50'000;
-  /// Rows pumped between lag checks.
-  int64_t pump_chunk = 4'096;
   /// Watermark slack applied to the job's sources (archived data is
   /// unordered; windows need a larger reorder buffer).
   int64_t reorder_slack_ms = 60'000;
-  /// Partition count of the transient replay topic.
-  int32_t replay_partitions = 4;
 };
 
 struct BackfillReport {

@@ -6,6 +6,9 @@ namespace uberrt::compute {
 
 namespace {
 
+/// Object-store directory that holds every job's checkpoints.
+constexpr char kCheckpointPrefix[] = "checkpoints/";
+
 /// Exception-free decimal parse. Checkpoint blobs come off the object store
 /// and may be truncated or corrupt; std::stoll would throw on them.
 bool ParseInt64(const std::string& s, int64_t* out) {
@@ -67,18 +70,21 @@ Result<CheckpointData> CheckpointData::Decode(const std::string& blob) {
   return data;
 }
 
+CheckpointStore::CheckpointStore(storage::ObjectStore* store, const std::string& job)
+    : store_(store), dir_(kCheckpointPrefix + job + "/") {}
+
 std::string CheckpointStore::Key(int64_t sequence) const {
-  return prefix_ + "/" + job_ + "/chk-" + std::to_string(sequence);
+  return dir_ + "chk-" + std::to_string(sequence);
 }
 
 Status CheckpointStore::Save(const CheckpointData& data) {
   UBERRT_RETURN_IF_ERROR(store_->Put(Key(data.sequence), data.Encode()));
   UBERRT_RETURN_IF_ERROR(
-      store_->Put(prefix_ + "/" + job_ + "/LATEST", std::to_string(data.sequence)));
+      store_->Put(dir_ + "LATEST", std::to_string(data.sequence)));
   // Retention: LATEST now names this checkpoint, so every other blob of the
   // job is subsumed. A failed delete leaves its blob for the next save.
   const std::string latest = Key(data.sequence);
-  for (const std::string& key : store_->List(prefix_ + "/" + job_ + "/chk-")) {
+  for (const std::string& key : store_->List(dir_ + "chk-")) {
     if (key != latest) store_->Delete(key).ok();
   }
   return Status::Ok();
@@ -91,7 +97,7 @@ Result<CheckpointData> CheckpointStore::Load(int64_t sequence) const {
 }
 
 Result<int64_t> CheckpointStore::LatestSequence() const {
-  Result<std::string> latest = store_->Get(prefix_ + "/" + job_ + "/LATEST");
+  Result<std::string> latest = store_->Get(dir_ + "LATEST");
   if (!latest.ok()) return latest.status();
   int64_t sequence = 0;
   if (!ParseInt64(latest.value(), &sequence)) {

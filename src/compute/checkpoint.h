@@ -26,15 +26,14 @@ struct CheckpointData {
   static Result<CheckpointData> Decode(const std::string& blob);
 };
 
-/// Persists/loads checkpoints under "<prefix>/<job>/chk-<seq>", tracking the
-/// latest sequence in "<prefix>/<job>/LATEST". Only the checkpoint LATEST
-/// names is retained (Flink's default of one): once a save has moved LATEST,
-/// it deletes the job's other chk-* blobs. A delete that fails never fails
-/// the save; the next save collects the leftover blob.
+/// Persists/loads checkpoints under "checkpoints/<job>/chk-<seq>", tracking
+/// the latest sequence in "checkpoints/<job>/LATEST". Only the checkpoint
+/// LATEST names is retained (Flink's default of one): once a save has moved
+/// LATEST, it deletes the job's other chk-* blobs. A delete that fails never
+/// fails the save; the next save collects the leftover blob.
 class CheckpointStore {
  public:
-  CheckpointStore(storage::ObjectStore* store, std::string prefix, std::string job)
-      : store_(store), prefix_(std::move(prefix)), job_(std::move(job)) {}
+  CheckpointStore(storage::ObjectStore* store, const std::string& job);
 
   Status Save(const CheckpointData& data);
   Result<CheckpointData> Load(int64_t sequence) const;
@@ -46,8 +45,7 @@ class CheckpointStore {
   std::string Key(int64_t sequence) const;
 
   storage::ObjectStore* store_;
-  std::string prefix_;
-  std::string job_;
+  std::string dir_;  ///< "checkpoints/<job>/"
 };
 
 }  // namespace uberrt::compute

@@ -149,7 +149,7 @@ Status JobManager::RestartFromCheckpoint(ManagedJob* job, int32_t new_parallelis
   auto runner = std::make_unique<JobRunner>(graph, bus_, store_, job->runner_options);
   if (new_parallelism != job->parallelism) {
     // Rescale: rewrite the latest checkpoint with state re-bucketed.
-    CheckpointStore checkpoints(store_, job->runner_options.checkpoint_prefix, job->id);
+    CheckpointStore checkpoints(store_, job->id);
     Result<CheckpointData> latest = checkpoint_retry_.RunResult<CheckpointData>(
         [&] { return checkpoints.LoadLatest(); });
     if (latest.ok()) {

@@ -222,7 +222,7 @@ JobRunner::JobRunner(JobGraph graph, stream::MessageBus* bus,
     : graph_(std::move(graph)),
       bus_(bus),
       options_(options),
-      checkpoint_store_(store, options.checkpoint_prefix, graph_.name()) {
+      checkpoint_store_(store, graph_.name()) {
   max_batch_ = std::max<size_t>(1, options_.max_batch_records);
 }
 

@@ -41,7 +41,6 @@ struct JobRunnerOptions {
   /// When false the job manager never snapshots this job; recovery
   /// recomputes state from the stream (the surge tuning of Section 5.1).
   bool periodic_checkpoints = true;
-  std::string checkpoint_prefix = "checkpoints";
   /// Pool the job's tasks run on. nullptr -> the runner creates a private
   /// pool of 4 threads, so tests and standalone runners need no wiring.
   /// Either way the job's OS-thread count is the pool size, not the

@@ -69,14 +69,6 @@ std::vector<std::string> SchemaRegistry::ListSubjects() const {
   return out;
 }
 
-Status SchemaRegistry::CheckBackwardCompatible(const std::string& subject,
-                                               const RowSchema& candidate) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = subjects_.find(subject);
-  if (it == subjects_.end() || it->second.empty()) return Status::Ok();
-  return CompatibleStep(it->second.back().schema, candidate);
-}
-
 void SchemaRegistry::AddLineage(const std::string& from, const std::string& to) {
   std::lock_guard<std::mutex> lock(mu_);
   lineage_out_[from].push_back(to);

@@ -42,10 +42,6 @@ class SchemaRegistry {
   /// All subjects, sorted.
   std::vector<std::string> ListSubjects() const;
 
-  /// Would `candidate` be an allowed next version? (Dry-run of Register.)
-  Status CheckBackwardCompatible(const std::string& subject,
-                                 const RowSchema& candidate) const;
-
   /// Records that dataset `to` is derived from dataset `from` (e.g. a Flink
   /// job reading topic A and writing Pinot table B adds A -> B).
   void AddLineage(const std::string& from, const std::string& to);

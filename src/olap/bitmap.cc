@@ -43,40 +43,6 @@ size_t SelectionBitmap::ClearRange(size_t lo, size_t hi) {
   return w_hi - w_lo + 1;
 }
 
-size_t SelectionBitmap::SetRange(size_t lo, size_t hi) {
-  if (lo >= hi) return 0;
-  size_t w_lo = lo >> 6, w_hi = (hi - 1) >> 6;
-  for (size_t w = w_lo; w <= w_hi; ++w) {
-    size_t bit_lo = (w == w_lo) ? (lo & 63) : 0;
-    size_t bit_hi = (w == w_hi) ? ((hi - 1) & 63) + 1 : 64;
-    words_[w] |= RangeMask(bit_lo, bit_hi);
-  }
-  return w_hi - w_lo + 1;
-}
-
-size_t SelectionBitmap::CountRange(size_t lo, size_t hi) const {
-  if (lo >= hi) return 0;
-  size_t w_lo = lo >> 6, w_hi = (hi - 1) >> 6;
-  size_t n = 0;
-  for (size_t w = w_lo; w <= w_hi; ++w) {
-    size_t bit_lo = (w == w_lo) ? (lo & 63) : 0;
-    size_t bit_hi = (w == w_hi) ? ((hi - 1) & 63) + 1 : 64;
-    n += static_cast<size_t>(std::popcount(words_[w] & RangeMask(bit_lo, bit_hi)));
-  }
-  return n;
-}
-
-bool SelectionBitmap::NoneInRange(size_t lo, size_t hi) const {
-  if (lo >= hi) return true;
-  size_t w_lo = lo >> 6, w_hi = (hi - 1) >> 6;
-  for (size_t w = w_lo; w <= w_hi; ++w) {
-    size_t bit_lo = (w == w_lo) ? (lo & 63) : 0;
-    size_t bit_hi = (w == w_hi) ? ((hi - 1) & 63) + 1 : 64;
-    if ((words_[w] & RangeMask(bit_lo, bit_hi)) != 0) return false;
-  }
-  return true;
-}
-
 size_t SelectionBitmap::Extract(size_t lo, size_t hi, uint32_t* out) const {
   if (lo >= hi) return 0;
   size_t n = 0;

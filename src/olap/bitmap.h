@@ -57,21 +57,11 @@ class SelectionBitmap {
   /// Clears bits in [lo, hi). Returns words touched.
   size_t ClearRange(size_t lo, size_t hi);
 
-  /// Sets bits in [lo, hi). Returns words touched.
-  size_t SetRange(size_t lo, size_t hi);
-
   size_t Count() const {
     size_t n = 0;
     for (uint64_t w : words_) n += static_cast<size_t>(std::popcount(w));
     return n;
   }
-
-  /// Popcount restricted to [lo, hi).
-  size_t CountRange(size_t lo, size_t hi) const;
-
-  /// True when no bit is set in [lo, hi) — lets batch loops skip dead rows
-  /// a word at a time.
-  bool NoneInRange(size_t lo, size_t hi) const;
 
   /// Writes the positions of set bits in [lo, hi) to `out` (ascending).
   /// Returns how many were written; caller guarantees room for hi-lo.

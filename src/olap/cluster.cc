@@ -850,74 +850,4 @@ Result<int64_t> OlapCluster::MemoryBytes(const std::string& table) const {
   return bytes;
 }
 
-Result<int64_t> OlapCluster::CompactOnce(const std::string& table) {
-  Result<std::shared_ptr<Table>> found = FindTable(table);
-  if (!found.ok()) return found.status();
-  Table* t = found.value().get();
-
-  // Claim under the shared lock only: the claim flips an atomic flag on the
-  // handle, so concurrent CompactOnce calls never double-build a segment
-  // and ingestion/queries proceed meanwhile.
-  std::vector<std::shared_ptr<SegmentHandle>> pending;
-  RowSchema schema;
-  SegmentIndexConfig index_config;
-  {
-    std::shared_lock<std::shared_mutex> lock(t->rw_mu);
-    schema = t->config.schema;
-    for (const Server& server : t->servers) {
-      for (const auto& [partition_id, sp] : server.partitions) {
-        sp.data->ClaimPendingCompactions(&pending);
-        index_config = sp.data->CompactionIndexConfig();
-      }
-    }
-  }
-  if (pending.empty()) return 0;
-
-  // Rebuild off the lock (and off the write path): re-read the rows,
-  // build with the table's full index configuration, swap into the shared
-  // handle. Row order is preserved — a deferred seal already applied the
-  // sorted column, and upsert tables never sort — so validity vectors and
-  // upsert locations stay valid and results never change (no data_version
-  // bump: cached results remain correct).
-  std::vector<Status> statuses(pending.size(), Status::Ok());
-  auto rebuild = [&](size_t i) {
-    const std::shared_ptr<SegmentHandle>& handle = pending[i];
-    Result<std::shared_ptr<Segment>> acquired = handle->AcquireFull();
-    if (!acquired.ok()) {
-      statuses[i] = acquired.status();
-      return;
-    }
-    const std::shared_ptr<Segment>& old = acquired.value();
-    std::vector<Row> rows;
-    rows.reserve(static_cast<size_t>(old->NumRows()));
-    for (int64_t r = 0; r < old->NumRows(); ++r) {
-      rows.push_back(old->GetRow(static_cast<size_t>(r)));
-    }
-    Result<std::shared_ptr<Segment>> rebuilt =
-        Segment::Build(old->name(), schema, rows, index_config);
-    if (!rebuilt.ok()) {
-      statuses[i] = rebuilt.status();
-      return;
-    }
-    handle->ReplaceSegment(rebuilt.value());
-  };
-  common::Executor::RunTaskGroup(executor_, pending.size(), rebuild);
-
-  int64_t compacted = 0;
-  Status first_error = Status::Ok();
-  for (size_t i = 0; i < pending.size(); ++i) {
-    if (statuses[i].ok()) {
-      ++compacted;
-    } else {
-      // Give the claim back: the next pump retries this segment.
-      pending[i]->SetNeedsCompaction(true);
-      if (first_error.ok()) first_error = statuses[i];
-    }
-  }
-  if (compacted == 0 && !first_error.ok()) return first_error;
-  // Rebuilt segments return to hot; settle the budget.
-  if (lifecycle_->memory_budget_bytes() > 0) lifecycle_->EnforceBudget();
-  return compacted;
-}
-
 }  // namespace uberrt::olap

@@ -106,9 +106,8 @@ class OlapCluster {
     query_opts.max_attempts = 3;
     query_retry_ = std::make_unique<common::RetryPolicy>(
         "olap.query", query_opts, SystemClock::Instance(), &metrics_);
-    LifecycleOptions lopts;
-    lopts.memory_budget_bytes = options_.memory_budget_bytes;
-    lifecycle_ = std::make_unique<LifecycleManager>(store_, &metrics_, lopts);
+    lifecycle_ = std::make_unique<LifecycleManager>(store_, &metrics_,
+                                                    options_.memory_budget_bytes);
     // Result-cache bytes count against the same budget as segments.
     lifecycle_->SetExternalBytesFn(
         [this] { return result_cache_bytes_->value(); });
@@ -168,15 +167,6 @@ class OlapCluster {
 
   Result<int64_t> NumRows(const std::string& table) const;
   Result<int64_t> MemoryBytes(const std::string& table) const;
-
-  /// One background-compaction pump: claims every sealed segment flagged
-  /// for a deferred index rebuild (see TableConfig::deferred_index_build),
-  /// re-reads its rows and rebuilds it with the table's full index
-  /// configuration (inverted + star-tree + re-sort), then swaps the rebuilt
-  /// segment into the shared handle. Runs on the attached executor when
-  /// present; queries proceed concurrently (in-flight ones finish on the
-  /// old segment — identical rows either way). Returns segments compacted.
-  Result<int64_t> CompactOnce(const std::string& table);
 
   /// Applies the cluster memory budget now (also runs automatically after
   /// ingest/seal and after queries that materialized or reloaded

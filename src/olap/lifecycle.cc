@@ -193,17 +193,6 @@ std::shared_ptr<std::vector<bool>> SegmentHandle::SnapshotValidity() const {
   return std::make_shared<std::vector<bool>>(*validity_);
 }
 
-void SegmentHandle::ReplaceSegment(std::shared_ptr<Segment> segment) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // prune_ stays as built at seal: compaction preserves row content, so the
-  // dictionaries (and with them min/max/bloom) are unchanged — and leaving
-  // it untouched keeps lock-free CanMatch reads safe.
-  segment_ = std::move(segment);
-  packed_.reset();
-  cold_bytes_ = 0;
-  tier_ = SegmentTier::kHot;
-}
-
 Status SegmentHandle::DemoteToWarm() {
   std::lock_guard<std::mutex> lock(mu_);
   if (tier_ != SegmentTier::kHot || manager_ == nullptr) return Status::Ok();
@@ -270,12 +259,12 @@ int64_t SegmentHandle::ColdBytes() const {
 
 LifecycleManager::LifecycleManager(storage::ObjectStore* store,
                                    MetricsRegistry* metrics,
-                                   LifecycleOptions options)
+                                   int64_t memory_budget_bytes)
     : store_(store),
       store_retry_(std::make_unique<common::RetryPolicy>(
           "olap.tier", common::RetryOptions{.max_attempts = 4},
           SystemClock::Instance(), metrics)),
-      budget_(options.memory_budget_bytes),
+      budget_(memory_budget_bytes),
       hot_bytes_(metrics->GetGauge("olap.tier.hot_bytes")),
       warm_bytes_(metrics->GetGauge("olap.tier.warm_bytes")),
       cold_bytes_(metrics->GetGauge("olap.tier.cold_bytes")),

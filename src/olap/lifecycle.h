@@ -57,8 +57,8 @@ class LifecycleManager;
 
 /// The tier state of ONE sealed segment. Shared (by shared_ptr) between the
 /// home partition, its peer replicas and the lifecycle manager's registry,
-/// so a demotion, reload or compaction swap reaches every holder at once
-/// and a replicated segment is never resident twice.
+/// so a demotion or reload reaches every holder at once and a replicated
+/// segment is never resident twice.
 ///
 /// Lock discipline: `mu_` is a leaf mutex — nothing else is ever acquired
 /// under it; callers hold at most a table's rw_mu (shared). Demotion and
@@ -101,7 +101,7 @@ class SegmentHandle {
   /// warm. `observed` (optional) reports the tier served. The returned
   /// shared_ptr keeps the segment alive across any concurrent demotion.
   Result<std::shared_ptr<Segment>> Acquire(SegmentTier* observed = nullptr);
-  /// Acquire + materialize every column (recovery replay, compaction).
+  /// Acquire + materialize every column (recovery replay).
   Result<std::shared_ptr<Segment>> AcquireFull();
 
   /// Restore replay swaps validity vectors; the handle must carry the live
@@ -111,23 +111,6 @@ class SegmentHandle {
   /// bit flip is synchronized against a concurrent demotion snapshotting
   /// the same bits (queries are already excluded by the table's rw_mu).
   void InvalidateRow(size_t row);
-
-  /// Compaction commit: swaps in the rebuilt (fully indexed) segment. The
-  /// handle returns to hot; the stale packed frame is dropped (re-encoded
-  /// on the next demotion). In-flight queries finish on the old segment —
-  /// both produce identical rows, so results never change mid-swap.
-  void ReplaceSegment(std::shared_ptr<Segment> segment);
-
-  bool needs_compaction() const {
-    return needs_compaction_.load(std::memory_order_acquire);
-  }
-  void SetNeedsCompaction(bool pending) {
-    needs_compaction_.store(pending, std::memory_order_release);
-  }
-  /// Atomically claims the pending-compaction flag (exactly one claimer).
-  bool ClaimCompaction() {
-    return needs_compaction_.exchange(false, std::memory_order_acq_rel);
-  }
 
   /// hot -> warm: encodes the packed frame (current validity) and replaces
   /// the decoded segment with a lazy one over it. No-op unless hot.
@@ -183,14 +166,6 @@ class SegmentHandle {
   std::shared_ptr<std::vector<bool>> validity_;
 
   std::atomic<uint64_t> last_touch_{0};
-  std::atomic<bool> needs_compaction_{false};
-};
-
-struct LifecycleOptions {
-  /// Cluster-wide budget for sealed-segment memory plus whatever the
-  /// external-bytes hook reports (result caches). 0 = unlimited: no
-  /// demotions ever happen on their own.
-  int64_t memory_budget_bytes = 0;
 };
 
 /// Owns the tier policy: a registry of every live SegmentHandle, the
@@ -198,8 +173,11 @@ struct LifecycleOptions {
 /// the olap.tier.* metrics. One per OlapCluster.
 class LifecycleManager {
  public:
+  /// `memory_budget_bytes` caps sealed-segment memory plus whatever the
+  /// external-bytes hook reports (result caches). 0 = unlimited: no
+  /// demotions ever happen on their own.
   LifecycleManager(storage::ObjectStore* store, MetricsRegistry* metrics,
-                   LifecycleOptions options = {});
+                   int64_t memory_budget_bytes);
 
   void Register(const std::shared_ptr<SegmentHandle>& handle);
 

@@ -191,8 +191,8 @@ class Segment {
   static Result<std::shared_ptr<Segment>> DeserializeLazy(
       std::shared_ptr<const std::string> blob, size_t offset);
 
-  /// Decodes every still-lazy column (recovery replay, compaction, full
-  /// promotion). No-op on eager segments.
+  /// Decodes every still-lazy column (recovery replay, through
+  /// SegmentHandle::AcquireFull). No-op on eager segments.
   Status EnsureAllColumns() const;
 
   /// Detached pruning metadata (see SegmentPruneInfo). Requires decoded

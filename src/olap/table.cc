@@ -57,16 +57,6 @@ Result<std::shared_ptr<Segment>> RealtimePartition::SealIfNeeded(bool force) {
     // Row order must stay stable so upsert locations remain valid.
     index_config.sorted_column.clear();
   }
-  bool deferred = false;
-  if (config_.deferred_index_build) {
-    // Seal fast: dictionaries, packing and zone maps only. The expensive
-    // inverted and star-tree builds move to the background compaction pass.
-    deferred = !index_config.inverted_columns.empty() ||
-               !index_config.star_tree_dimensions.empty();
-    index_config.inverted_columns.clear();
-    index_config.star_tree_dimensions.clear();
-    index_config.star_tree_metrics.clear();
-  }
   UBERRT_RETURN_IF_ERROR(consuming_->Seal(segment_name, index_config));
   std::shared_ptr<Segment> built = std::move(consuming_);
   consuming_ = Segment::Consuming(config_.schema);
@@ -86,7 +76,6 @@ Result<std::shared_ptr<Segment>> RealtimePartition::SealIfNeeded(bool force) {
   sealed.handle = SegmentHandle::Create(
       built, next_segment_seq_ - 1, min_time, max_time, validity,
       "segments/" + config_.name + "/" + segment_name, lifecycle_);
-  sealed.handle->SetNeedsCompaction(deferred);
   sealed.validity = std::move(validity);
   int32_t segment_index = static_cast<int32_t>(sealed_.size());
   sealed_.push_back(std::move(sealed));
@@ -279,19 +268,6 @@ Status RealtimePartition::RebuildUpsertState() {
   // archive the live bits (and peer replicas see them).
   for (SealedSegment& s : sealed_) s.handle->SetValidity(s.validity);
   return Status::Ok();
-}
-
-void RealtimePartition::ClaimPendingCompactions(
-    std::vector<std::shared_ptr<SegmentHandle>>* out) const {
-  for (const SealedSegment& s : sealed_) {
-    if (s.handle->ClaimCompaction()) out->push_back(s.handle);
-  }
-}
-
-SegmentIndexConfig RealtimePartition::CompactionIndexConfig() const {
-  SegmentIndexConfig index_config = config_.index_config;
-  if (config_.upsert_enabled) index_config.sorted_column.clear();
-  return index_config;
 }
 
 }  // namespace uberrt::olap

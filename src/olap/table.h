@@ -30,10 +30,6 @@ struct TableConfig {
   /// disables the sorted column (row order must stay stable).
   bool upsert_enabled = false;
   std::string primary_key_column;
-  /// Seal with only the cheap per-column structures (dictionaries, packing,
-  /// zone maps); inverted and star-tree indexes are built later by the
-  /// background compaction pass, off the write path.
-  bool deferred_index_build = false;
 };
 
 /// All data of one stream partition of a table, hosted by exactly one
@@ -95,9 +91,9 @@ class RealtimePartition {
 
   /// Sealed segments with their validity vectors (for replication and
   /// recovery). `handle` is shared (not copied) with peer replicas so an
-  /// upsert invalidation, demotion or compaction swap that lands after
-  /// replication is visible to every holder of the segment. `validity` is
-  /// the same shared vector the handle carries (null = all rows valid).
+  /// upsert invalidation or demotion that lands after replication is
+  /// visible to every holder of the segment. `validity` is the same shared
+  /// vector the handle carries (null = all rows valid).
   struct SealedSegment {
     std::shared_ptr<SegmentHandle> handle;
     /// Upsert tables only; null = all rows valid.
@@ -121,14 +117,6 @@ class RealtimePartition {
   /// is partitioned by primary key, so every version of a key is local).
   /// Fails if a restored segment cannot be materialized for the replay.
   Status FinishRestore();
-
-  /// Background-compaction handshake: claims (at most once each) the sealed
-  /// segments flagged for a deferred index build and appends their handles.
-  void ClaimPendingCompactions(
-      std::vector<std::shared_ptr<SegmentHandle>>* out) const;
-  /// The full index configuration a compaction rebuild should use (sorted
-  /// column cleared for upsert tables — row order must stay stable).
-  SegmentIndexConfig CompactionIndexConfig() const;
 
  private:
   struct UpsertLocation {

@@ -2,10 +2,8 @@
 
 namespace uberrt::storage {
 
-InMemoryObjectStore::InMemoryObjectStore(ObjectStoreOptions options, Clock* clock)
-    : options_(options),
-      clock_(clock),
-      puts_(metrics_.GetCounter("storage.puts")),
+InMemoryObjectStore::InMemoryObjectStore()
+    : puts_(metrics_.GetCounter("storage.puts")),
       gets_(metrics_.GetCounter("storage.gets")),
       bytes_written_(metrics_.GetCounter("storage.bytes_written")),
       unavailable_errors_(metrics_.GetCounter("storage.unavailable_errors")) {}
@@ -19,7 +17,6 @@ Status InMemoryObjectStore::CheckAvailable(const char* site) const {
 
 Status InMemoryObjectStore::Put(const std::string& key, const std::string& data) {
   UBERRT_RETURN_IF_ERROR(CheckAvailable("store.put"));
-  if (options_.put_latency_ms > 0) clock_->SleepMs(options_.put_latency_ms);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = objects_.find(key);
   if (it != objects_.end()) {
@@ -36,7 +33,6 @@ Status InMemoryObjectStore::Put(const std::string& key, const std::string& data)
 
 Result<std::string> InMemoryObjectStore::Get(const std::string& key) const {
   UBERRT_RETURN_IF_ERROR(CheckAvailable("store.get"));
-  if (options_.get_latency_ms > 0) clock_->SleepMs(options_.get_latency_ms);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = objects_.find(key);
   if (it == objects_.end()) return Status::NotFound("no object: " + key);

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/fault_injector.h"
 #include "common/metrics.h"
 #include "common/status.h"
@@ -41,20 +40,14 @@ class ObjectStore {
   virtual int64_t TotalBytes() const = 0;
 };
 
-/// Behaviour knobs for the in-memory store: injected latency models the
-/// network hop to a remote archival cluster. Outages (the HDFS outages that
-/// motivated peer-to-peer segment recovery, Section 4.3.4) are scripted on
-/// the fault plane: SetDown("store") fails every operation.
-struct ObjectStoreOptions {
-  int64_t put_latency_ms = 0;
-  int64_t get_latency_ms = 0;
-};
-
-/// In-memory object store with failure injection.
+/// In-memory object store with failure injection. Everything remote about
+/// an archival cluster is scripted on the fault plane: an added_latency_ms
+/// rule on store.put / store.get models the network hop, and the outages
+/// that motivated peer-to-peer segment recovery (Section 4.3.4) are
+/// SetDown("store"), which fails every operation.
 class InMemoryObjectStore : public ObjectStore {
  public:
-  explicit InMemoryObjectStore(ObjectStoreOptions options = {},
-                               Clock* clock = SystemClock::Instance());
+  InMemoryObjectStore();
 
   Status Put(const std::string& key, const std::string& data) override;
   Result<std::string> Get(const std::string& key) const override;
@@ -76,8 +69,6 @@ class InMemoryObjectStore : public ObjectStore {
  private:
   Status CheckAvailable(const char* site) const;
 
-  ObjectStoreOptions options_;
-  Clock* clock_;
   common::FaultInjector* faults_ = nullptr;
   mutable std::mutex mu_;
   std::map<std::string, std::string> objects_;

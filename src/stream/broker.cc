@@ -74,13 +74,6 @@ Result<TopicConfig> Broker::GetTopicConfig(const std::string& topic) const {
   return found.value()->config;
 }
 
-std::vector<std::string> Broker::ListTopics() const {
-  std::lock_guard<std::mutex> lock(topics_mu_);
-  std::vector<std::string> out;
-  for (const auto& [name, topic] : topics_) out.push_back(name);
-  return out;
-}
-
 Result<int32_t> Broker::NumPartitions(const std::string& topic) const {
   Result<std::shared_ptr<Topic>> found = FindTopic(topic);
   if (!found.ok()) return found.status();
@@ -97,10 +90,11 @@ Result<std::shared_ptr<Broker::Topic>> Broker::FindTopic(
 
 void Broker::SpinCoordinationWork(AckMode ack) const {
   if (!options_.coordination_model_enabled) return;
-  double iters = options_.coordination_base_iters +
-                 options_.coordination_quad_iters *
-                     static_cast<double>(options_.num_nodes) *
-                     static_cast<double>(options_.num_nodes);
+  // Per-produce busy-work iterations: base + quad * num_nodes^2.
+  constexpr double kBaseIters = 30.0;
+  constexpr double kQuadIters = 0.004;
+  double iters = kBaseIters + kQuadIters * static_cast<double>(options_.num_nodes) *
+                                  static_cast<double>(options_.num_nodes);
   if (ack == AckMode::kAll) iters *= 2.0;  // replica round trips
   volatile double sink = 0.0;
   for (int64_t i = 0; i < static_cast<int64_t>(iters); ++i) {

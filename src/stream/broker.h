@@ -33,9 +33,6 @@ namespace uberrt::stream {
 struct BrokerOptions {
   int32_t num_nodes = 3;
   bool coordination_model_enabled = false;
-  /// Per-produce busy-work iterations: base + quad * num_nodes^2.
-  double coordination_base_iters = 30.0;
-  double coordination_quad_iters = 0.004;
 };
 
 /// One physical Kafka-like cluster: topics of partitioned append-only logs,
@@ -69,7 +66,6 @@ class Broker : public MessageBus {
   Status DeleteTopic(const std::string& topic);
   bool HasTopic(const std::string& topic) const override;
   Result<TopicConfig> GetTopicConfig(const std::string& topic) const;
-  std::vector<std::string> ListTopics() const;
   Result<int32_t> NumPartitions(const std::string& topic) const override;
 
   // --- Produce / fetch ---------------------------------------------------

@@ -49,10 +49,6 @@ class Consumer {
   /// Positions currently held (partition -> next offset to read).
   const std::map<int32_t, int64_t>& positions() const { return positions_; }
 
-  /// Overrides the position of one partition (used by failover logic that
-  /// resumes from a synced offset, Section 6).
-  void Seek(int32_t partition, int64_t offset) { positions_[partition] = offset; }
-
   const std::string& member_id() const { return member_id_; }
 
  private:

@@ -69,7 +69,7 @@ TEST(BoundedStateSoakTest, StateLevelsOffAndCrashRestoreStaysExact) {
     }
     if (round == kCrashRound) {
       // One-shot crash: the same sweep restores from the retained checkpoint.
-      ASSERT_TRUE(compute::CheckpointStore(platform.store(), "checkpoints", job)
+      ASSERT_TRUE(compute::CheckpointStore(platform.store(), job)
                       .LatestSequence()
                       .ok());
       common::FaultRule crash;

@@ -256,7 +256,7 @@ TEST(ChaosSoakTest, CheckpointCrashRestartKeepsCountsExact) {
   ASSERT_TRUE(manager.GetRunner(id.value())->WaitUntilCaughtUp(20000).ok());
   // One sweep starts a barrier checkpoint, a later one saves it (retried
   // through the flaky store): tick until LATEST names it.
-  compute::CheckpointStore checkpoints(&store, "checkpoints", id.value());
+  compute::CheckpointStore checkpoints(&store, id.value());
   bool checkpointed = false;
   for (int tick = 0; tick < 10000 && !checkpointed; ++tick) {
     ASSERT_TRUE(manager.Tick().ok());

@@ -157,7 +157,7 @@ TEST(ExecutorTest, RunsEveryAcceptedTaskOnItsOwnThreads) {
 }
 
 TEST(ExecutorTest, SubmitAfterShutdownFailsAndShutdownIsIdempotent) {
-  Executor executor(ExecutorOptions{2, 0, "executor.test"});
+  Executor executor(ExecutorOptions{2, "executor.test"});
   executor.Shutdown();
   EXPECT_FALSE(executor.Submit([] {}));
   executor.Shutdown();  // second call must be a no-op
@@ -165,7 +165,7 @@ TEST(ExecutorTest, SubmitAfterShutdownFailsAndShutdownIsIdempotent) {
 }
 
 TEST(ExecutorTest, ConcurrentSubmittersRaceShutdownWithoutLosingAcceptedTasks) {
-  Executor executor(ExecutorOptions{3, 0, "executor.test"});
+  Executor executor(ExecutorOptions{3, "executor.test"});
   std::atomic<bool> stop{false};
   std::atomic<int64_t> accepted{0};
   std::atomic<int64_t> executed{0};
@@ -188,7 +188,7 @@ TEST(ExecutorTest, ConcurrentSubmittersRaceShutdownWithoutLosingAcceptedTasks) {
 }
 
 TEST(ExecutorTest, ConcurrentShutdownCallsAreSafe) {
-  auto executor = std::make_unique<Executor>(ExecutorOptions{2, 0, "executor.test"});
+  auto executor = std::make_unique<Executor>(ExecutorOptions{2, "executor.test"});
   for (int i = 0; i < 64; ++i) {
     executor->Submit([] { SystemClock::Instance()->SleepMs(1); });
   }
@@ -219,7 +219,7 @@ TEST(ExecutorTest, WideJobRunsBoundedByTwoThreadSharedPool) {
     ASSERT_TRUE(broker.Produce("trips", std::move(m)).ok());
   }
 
-  Executor pool(ExecutorOptions{2, 0, "executor.test"});
+  Executor pool(ExecutorOptions{2, "executor.test"});
   std::mutex mu;
   std::set<std::thread::id> sink_threads;
   std::atomic<int64_t> rows{0};

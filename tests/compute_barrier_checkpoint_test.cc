@@ -274,7 +274,7 @@ void RunMidStream(const JobGraph& proto, Broker* broker, ThrottledBus* throttled
     runner.Cancel();
     ASSERT_GT(sequence, 0);
   }
-  CheckpointStore checkpoints(&store, "checkpoints", "mid");
+  CheckpointStore checkpoints(&store, "mid");
   Result<CheckpointData> data = checkpoints.Load(sequence);
   ASSERT_TRUE(data.ok()) << data.status().ToString();
   for (const auto& [key, value] : data.value().entries) {
@@ -463,7 +463,7 @@ TEST(BarrierCheckpointLifecycleTest, CancelAbandonsTheCheckpointInFlight) {
   config.num_partitions = 2;
   ASSERT_TRUE(broker.CreateTopic("events", config).ok());
   storage::InMemoryObjectStore store;
-  CheckpointStore checkpoints(&store, "checkpoints", "gated");
+  CheckpointStore checkpoints(&store, "gated");
   auto produce = [&](int from, int to) {
     for (int i = from; i < to; ++i) {
       ASSERT_TRUE(broker.Produce("events", EventMessage("A", 1.0, 1000 + i)).ok());
@@ -543,7 +543,7 @@ TEST(BarrierCheckpointLifecycleTest, CheckpointDeclinedOnceSourcesSentEnd) {
   Result<int64_t> triggered = runner.TriggerCheckpoint();
   EXPECT_EQ(triggered.status().code(), StatusCode::kFailedPrecondition);
   ASSERT_TRUE(runner.AwaitTermination(10000).ok());
-  CheckpointStore checkpoints(&store, "checkpoints", "gated");
+  CheckpointStore checkpoints(&store, "gated");
   EXPECT_TRUE(checkpoints.LatestSequence().status().IsNotFound());
   ASSERT_EQ(sink.rows.size(), 1u);
   EXPECT_EQ(sink.rows[0][2].AsInt(), 50);

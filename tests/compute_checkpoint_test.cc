@@ -85,7 +85,7 @@ TEST(CheckpointDataTest, RandomBytesNeverCrash) {
 
 TEST(CheckpointStoreTest, SaveLoadLatestRoundtrip) {
   storage::InMemoryObjectStore store;
-  CheckpointStore checkpoints(&store, "checkpoints", "job1");
+  CheckpointStore checkpoints(&store, "job1");
   EXPECT_TRUE(checkpoints.LoadLatest().status().IsNotFound());
   ASSERT_TRUE(checkpoints.Save(SampleData()).ok());
   Result<CheckpointData> loaded = checkpoints.LoadLatest();
@@ -95,7 +95,7 @@ TEST(CheckpointStoreTest, SaveLoadLatestRoundtrip) {
 
 TEST(CheckpointStoreTest, LatestPointingAtDeletedCheckpointIsNotFound) {
   storage::InMemoryObjectStore store;
-  CheckpointStore checkpoints(&store, "checkpoints", "job1");
+  CheckpointStore checkpoints(&store, "job1");
   ASSERT_TRUE(checkpoints.Save(SampleData()).ok());
   // Simulate a half-completed cleanup: the checkpoint object is gone but
   // LATEST still names it.
@@ -107,7 +107,7 @@ TEST(CheckpointStoreTest, LatestPointingAtDeletedCheckpointIsNotFound) {
 
 TEST(CheckpointStoreTest, CorruptLatestPointerIsCorruption) {
   storage::InMemoryObjectStore store;
-  CheckpointStore checkpoints(&store, "checkpoints", "job1");
+  CheckpointStore checkpoints(&store, "job1");
   ASSERT_TRUE(store.Put("checkpoints/job1/LATEST", "not-a-number").ok());
   EXPECT_TRUE(checkpoints.LoadLatest().status().IsCorruption());
   EXPECT_TRUE(checkpoints.LatestSequence().status().IsCorruption());
@@ -115,7 +115,7 @@ TEST(CheckpointStoreTest, CorruptLatestPointerIsCorruption) {
 
 TEST(CheckpointStoreTest, CorruptCheckpointBlobSurfacesCorruption) {
   storage::InMemoryObjectStore store;
-  CheckpointStore checkpoints(&store, "checkpoints", "job1");
+  CheckpointStore checkpoints(&store, "job1");
   ASSERT_TRUE(checkpoints.Save(SampleData()).ok());
   ASSERT_TRUE(store.Put("checkpoints/job1/chk-7", "shredded").ok());
   EXPECT_TRUE(checkpoints.LoadLatest().status().IsCorruption());
@@ -130,8 +130,8 @@ CheckpointData DataAt(int64_t sequence) {
 
 TEST(CheckpointStoreTest, SaveRetainsOnlyTheLatestCheckpoint) {
   storage::InMemoryObjectStore store;
-  CheckpointStore checkpoints(&store, "checkpoints", "job1");
-  CheckpointStore other(&store, "checkpoints", "job10");  // shares the "job1" prefix
+  CheckpointStore checkpoints(&store, "job1");
+  CheckpointStore other(&store, "job10");  // shares the "job1" prefix
   ASSERT_TRUE(other.Save(DataAt(3)).ok());
   for (int64_t sequence = 1; sequence <= 12; ++sequence) {
     ASSERT_TRUE(checkpoints.Save(DataAt(sequence)).ok());
@@ -157,7 +157,7 @@ TEST(CheckpointStoreTest, FailedDeletesNeverFailASaveAndAreCollectedLater) {
   common::FaultInjector faults(/*seed=*/1);
   storage::InMemoryObjectStore store;
   store.SetFaultInjector(&faults);
-  CheckpointStore checkpoints(&store, "checkpoints", "job1");
+  CheckpointStore checkpoints(&store, "job1");
   common::FaultRule failing;
   failing.error_probability = 1.0;
   faults.SetRule("store.delete", failing);

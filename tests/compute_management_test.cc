@@ -36,7 +36,7 @@ Message Event(const std::string& key, double v, int64_t ts) {
 /// sequence above `after`, and returns it.
 int64_t TickUntilCheckpointed(JobManager* manager, storage::ObjectStore* store,
                               const std::string& id, int64_t after = 0) {
-  CheckpointStore checkpoints(store, "checkpoints", id);
+  CheckpointStore checkpoints(store, id);
   for (int i = 0; i < 10000; ++i) {
     EXPECT_TRUE(manager->Tick().ok());
     Result<int64_t> latest = checkpoints.LatestSequence();

@@ -1,10 +1,9 @@
 // Segment-lifecycle acceptance suite: sealed segments round-trip through
-// the hot -> warm -> cold tiers (and back, via query promotion and
-// background compaction) with bitwise-identical results at every step; the
-// cluster-wide memory budget actually bounds the resident set; pruning
-// never materializes a demoted segment; and the broker result cache is a
-// byte-capped LRU charged against the same budget. Runs in the ASan/TSan
-// concurrency gate.
+// the hot -> warm -> cold tiers (and back, via query promotion) with
+// bitwise-identical results at every step; the cluster-wide memory budget
+// actually bounds the resident set; pruning never materializes a demoted
+// segment; and the broker result cache is a byte-capped LRU charged against
+// the same budget. Runs in the ASan/TSan concurrency gate.
 
 #include <gtest/gtest.h>
 
@@ -157,24 +156,15 @@ class OlapTieringTest : public ::testing::Test {
   std::unique_ptr<OlapCluster> cluster_;
 };
 
-// Tentpole round trip: seal (deferred indexes) -> background compaction ->
-// demote to warm -> query (lazy materialization) -> demote to cold ->
-// query (store reload / promotion). Results are bitwise-identical to the
-// all-hot fingerprints at every stage, and the tier gauges/counters track.
+// Round trip: seal (with indexes) -> demote to warm -> query (lazy
+// materialization) -> demote to cold -> query (store reload / promotion).
+// Results are bitwise-identical to the all-hot fingerprints at every stage,
+// and the tier gauges/counters track.
 TEST_F(OlapTieringTest, RoundTripLifecycleParity) {
   ProduceEpochs();
-  TableConfig table = RideTable();
-  table.deferred_index_build = true;
-  ASSERT_TRUE(cluster_->CreateTable(table, "rides", FourServers()).ok());
+  ASSERT_TRUE(cluster_->CreateTable(RideTable(), "rides", FourServers()).ok());
   ASSERT_TRUE(cluster_->IngestAll("rides_t").ok());
   ASSERT_TRUE(cluster_->ForceSeal("rides_t").ok());
-
-  // Background compaction rebuilds the deferred inverted indexes off the
-  // write path; a second pump finds nothing left to claim.
-  Result<int64_t> compacted = cluster_->CompactOnce("rides_t");
-  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
-  EXPECT_GT(compacted.value(), 0);
-  EXPECT_EQ(cluster_->CompactOnce("rides_t").value(), 0);
 
   const std::vector<OlapQuery> queries = ParityQueries();
   OlapQueryStats hot_stats;
@@ -301,13 +291,11 @@ TEST_F(OlapTieringTest, BudgetEnforcementKeepsParity) {
   EXPECT_LE(hot_gauge + warm_gauge, budget * 11 / 10);
 }
 
-// TSan target: queries race tier demotions and a compaction swap. Every
-// query must observe exact counts no matter which representation it pins.
-TEST_F(OlapTieringTest, QueriesRaceDemotionsAndCompaction) {
+// TSan target: queries race tier demotions. Every query must observe exact
+// counts no matter which representation it pins.
+TEST_F(OlapTieringTest, QueriesRaceDemotions) {
   ProduceEpochs(4);
-  TableConfig table = RideTable();
-  table.deferred_index_build = true;
-  ASSERT_TRUE(cluster_->CreateTable(table, "rides", FourServers()).ok());
+  ASSERT_TRUE(cluster_->CreateTable(RideTable(), "rides", FourServers()).ok());
   ASSERT_TRUE(cluster_->IngestAll("rides_t").ok());
   ASSERT_TRUE(cluster_->ForceSeal("rides_t").ok());
   const int64_t expect_rows = 400;
@@ -324,7 +312,6 @@ TEST_F(OlapTieringTest, QueriesRaceDemotionsAndCompaction) {
       }
     });
   }
-  ASSERT_TRUE(cluster_->CompactOnce("rides_t").ok());
   for (int i = 0; i < 15; ++i) {
     ASSERT_TRUE(cluster_->lifecycle()->ApplyTierTargets(0, 1 << 20).ok());
     ASSERT_TRUE(cluster_->lifecycle()->ApplyTierTargets(0, 0).ok());
